@@ -7,18 +7,16 @@ from .catalog import (CatalogRow, RunConfig, generate_catalog, rows_for_combo,
 from .codes import (CoefficientDescentError, ConstacyclicCode,
                     DistanceBudgetExceeded, InconsistentRootSystemError,
                     bch_delta, build_code, build_tower, classical_mds_verdict,
-                    exact_distance_small, is_classical_mds)
+                    exact_distance_small)
 from .cosets import (CodeSpec, CyclotomicCoset, DefiningSet, all_cosets, coset,
-                     decompose, dual_containing, forms_skew_pair,
-                     is_skew_symmetric, make_spec, omega_set, skew_partner,
-                     t_minus_q)
+                     dual_containing, forms_skew_pair, is_skew_symmetric,
+                     make_spec, omega_set, skew_partner, t_minus_q)
 from .eaq import (EaqParams, EbitOracleMismatch, check_singleton, derive_eaq,
                   ebits_combinatorial, ebits_rank_oracle, singleton_equality)
 from .families import (FamilyError, FamilyId, FamilyInstance, VerificationError,
-                       enumerate_family, family_defining_set, family_instances,
-                       instance_params, k_range, predicted_tss, tss_threshold)
-from .fields import (Embedding, Field, FieldElement, Matrix, Poly, conj, extend,
-                     make_field, primitive_element)
+                       family_defining_set, family_instances, instance_params,
+                       k_range, tss_threshold)
+from .fields import Embedding, Field, Matrix, Poly, extend, make_field
 from .verify import VerifyReport, run_verification
 
 __version__ = "0.1.0"
@@ -28,17 +26,16 @@ __all__ = [
     "serialize_csv", "serialize_json",
     "CoefficientDescentError", "ConstacyclicCode", "DistanceBudgetExceeded",
     "InconsistentRootSystemError", "bch_delta", "build_code", "build_tower",
-    "classical_mds_verdict", "exact_distance_small", "is_classical_mds",
+    "classical_mds_verdict", "exact_distance_small",
     "CodeSpec", "CyclotomicCoset", "DefiningSet", "all_cosets", "coset",
-    "decompose", "dual_containing", "forms_skew_pair", "is_skew_symmetric",
+    "dual_containing", "forms_skew_pair", "is_skew_symmetric",
     "make_spec", "omega_set", "skew_partner", "t_minus_q",
     "EaqParams", "EbitOracleMismatch", "check_singleton", "derive_eaq",
     "ebits_combinatorial", "ebits_rank_oracle", "singleton_equality",
     "FamilyError", "FamilyId", "FamilyInstance", "VerificationError",
-    "enumerate_family", "family_defining_set", "family_instances",
-    "instance_params", "k_range", "predicted_tss", "tss_threshold",
-    "Embedding", "Field", "FieldElement", "Matrix", "Poly", "conj", "extend",
-    "make_field", "primitive_element",
+    "family_defining_set", "family_instances",
+    "instance_params", "k_range", "tss_threshold",
+    "Embedding", "Field", "Matrix", "Poly", "extend", "make_field",
     "VerifyReport", "run_verification",
     "__version__",
 ]

@@ -2,26 +2,20 @@
 
 The published parameter tables are reproduced row-for-row: each table is a
 list of (q, h) entries expanded into one catalog row per admissible
-distance.  Output ordering is deterministic (family, q, h, d ascending) and
+distance, and each row is the checked output of families.instance_params.
+Output ordering is deterministic (family, q, h, d ascending) and
 serialization re-checks the Singleton equality of every MDS row.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
 
-from .codes import DEFAULT_DISTANCE_BUDGET, build_code, exact_distance_small
-from .eaq import EaqParams
-from .families import (FAMILY_ORDER, FamilyError, FamilyId, check_applicable,
-                       enumerate_family, family_defining_set, k_range)
-
-VERIFIED_BCH = "bch-only"
-VERIFIED_RANK = "rank-oracle"
-VERIFIED_EXACT = "exact-distance"
+from .codes import DEFAULT_DISTANCE_BUDGET
+from .eaq import VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK  # noqa: F401 (row schema)
+from .families import (FAMILY_ORDER, FamilyId, applicable_combos,
+                       family_instances, fan_out, instance_params)
 
 CSV_HEADER = "family,q,h,n,k,d,c,mds,verified"
 
@@ -101,6 +95,8 @@ class RunConfig:
     include_qmds_datapoints: bool = True
 
     def validate(self) -> None:
+        for key, value in vars(self).items():
+            _check_key_type(key, value)
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.workers < 1:
@@ -118,19 +114,18 @@ class RunConfig:
             bad = [f for f in self.families if f.upper() not in valid]
             if bad:
                 raise ConfigError(f"unknown families {bad}; available: {sorted(valid)}")
-        if self.q_range is not None and len(self.q_range) != 2:
-            raise ConfigError("q_range must be [low, high]")
+        if self.q_range is not None and self.q_range[0] > self.q_range[1]:
+            raise ConfigError(f"q_range low {self.q_range[0]} exceeds high {self.q_range[1]}")
 
     @classmethod
     def from_dict(cls, data: dict) -> RunConfig:
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
+        unknown = set(data) - set(_KEY_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data)
+        cfg.validate()
         if cfg.q_range is not None:
             cfg.q_range = tuple(cfg.q_range)  # type: ignore[assignment]
-        cfg.validate()
         return cfg
 
     @classmethod
@@ -157,35 +152,51 @@ class RunConfig:
         return [FamilyId(f.upper()) for f in self.families]
 
 
+# config key -> (element type, shape, null allowed); shape is "one", "list"
+# or "pair", where a pair is a two-element list
+_KEY_TYPES: dict[str, tuple[type, str, bool]] = {
+    "tables": (int, "list", True),
+    "families": (str, "list", True),
+    "q_list": (int, "list", True),
+    "q_range": (int, "pair", True),
+    "rank_oracle": (bool, "one", False),
+    "exact_distance": (bool, "one", False),
+    "distance_cap": (int, "one", True),
+    "distance_budget": (int, "one", False),
+    "format": (str, "one", False),
+    "out": (str, "one", True),
+    "workers": (int, "one", False),
+    "include_qmds_datapoints": (bool, "one", False),
+}
+_TYPE_NAMES = {int: ("an int", "ints"), str: ("a string", "strings"),
+               bool: ("a boolean", "booleans")}
+
+
+def _has_type(value: object, kind: type) -> bool:
+    # bool is a subclass of int, but true/false is no count
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _check_key_type(key: str, value: object) -> None:
+    kind, shape, nullable = _KEY_TYPES[key]
+    if value is None and nullable:
+        return
+    if shape == "one":
+        ok = _has_type(value, kind)
+    else:
+        ok = (isinstance(value, (list, tuple))
+              and (shape == "list" or len(value) == 2)
+              and all(_has_type(v, kind) for v in value))
+    if not ok:
+        one, many = _TYPE_NAMES[kind]
+        expected = {"one": one, "list": f"a list of {many}",
+                    "pair": f"a [low, high] pair of {many}"}[shape]
+        null = " or null" if nullable else ""
+        raise ConfigError(f"config key {key!r} must be {expected}{null}, got {value!r}")
+
+
 def table1_family(q: int) -> FamilyId:
     return FamilyId.Q2P1_NEGA if q % 4 == 1 else FamilyId.Q2P1_CONSTA
-
-
-def distance_check_feasible(n: int, redundancy: int, budget: int) -> bool:
-    """True when the full independence sweep fits the evaluation budget."""
-    total = 0
-    for w in range(1, redundancy + 1):
-        total += math.comb(n, w)
-        if total > budget:
-            return False
-    return True
-
-
-def _verify_exact_distance(family: FamilyId, q: int, h: int | None,
-                           params: EaqParams, budget: int) -> bool:
-    """Run the column-enumeration oracle on the source classical code."""
-    lo, _ = k_range(family, q, h)
-    if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA,
-                  FamilyId.TENTH_3, FamilyId.TENTH_7):
-        k = (params.d - 2) // 2
-    else:
-        k = lo + params.d - 2
-    instance = family_defining_set(family, q, h, k)
-    code = build_code(instance.spec, instance.t)
-    d = exact_distance_small(code, budget=budget)
-    if d != code.n - code.dim + 1:
-        raise RuntimeError(f"exact distance {d} != n-k+1 for {instance.label()}")
-    return True
 
 
 def rows_for_combo(family: FamilyId, q: int, h: int | None, *,
@@ -193,27 +204,20 @@ def rows_for_combo(family: FamilyId, q: int, h: int | None, *,
                    distance_budget: int = DEFAULT_DISTANCE_BUDGET,
                    include_qmds_datapoints: bool = False,
                    source_table: int | None = None) -> list[CatalogRow]:
-    params_list = enumerate_family(family, q, h, rank_oracle=rank_oracle,
-                                   include_qmds_datapoints=include_qmds_datapoints)
     rows = []
-    for params in params_list:
-        verified = VERIFIED_RANK if rank_oracle else VERIFIED_BCH
-        # the source classical code has redundancy |T| = (n + c - k)/2
-        redundancy = (params.n + params.c - params.k) // 2
-        if exact_distance and distance_check_feasible(params.n, redundancy,
-                                                      distance_budget):
-            _verify_exact_distance(family, q, h, params, distance_budget)
-            verified = VERIFIED_EXACT
-        rows.append(CatalogRow(family=family.value, q=q, h=h, n=params.n,
-                               k=params.k, d=params.d, c=params.c,
-                               mds=params.mds, verified=verified,
+    for instance in family_instances(family, q, h, include_qmds_datapoints):
+        p = instance_params(instance, rank_oracle=rank_oracle,
+                            exact_distance=exact_distance,
+                            distance_budget=distance_budget)
+        rows.append(CatalogRow(family=family.value, q=q, h=h, n=p.n, k=p.k,
+                               d=p.d, c=p.c, mds=p.mds, verified=p.verified,
                                source_table=source_table))
     return rows
 
 
 def _combo_task(args: tuple) -> list[CatalogRow]:
-    family_name, q, h, opts, source_table = args
-    return rows_for_combo(FamilyId(family_name), q, h, source_table=source_table, **opts)
+    family, q, h, opts, source_table = args
+    return rows_for_combo(family, q, h, source_table=source_table, **opts)
 
 
 def generate_catalog(config: RunConfig) -> tuple[list[CatalogRow], list[str]]:
@@ -227,33 +231,19 @@ def generate_catalog(config: RunConfig) -> tuple[list[CatalogRow], list[str]]:
         for table in sorted(config.tables):
             for q, h in TABLE_ENTRIES[table]:
                 family = TABLE_FAMILY[table] or table1_family(q)
-                tasks.append((family.value, q, h,
-                              dict(opts, include_qmds_datapoints=False), table))
+                tasks.append((family, q, h, dict(opts, include_qmds_datapoints=False), table))
     else:
         q_values = config.selected_q()
         if not q_values:
             raise ConfigError("no q values selected: set tables, q_list, or q_range")
-        for family in config.family_filter():
-            for q in q_values:
-                hs: Iterable[int | None] = (3, 5, 7) if family is FamilyId.QM1_H else (None,)
-                for h in hs:
-                    try:
-                        check_applicable(family, q, h)
-                    except FamilyError:
-                        continue
-                    tasks.append((family.value, q, h,
-                                  dict(opts, include_qmds_datapoints=config.include_qmds_datapoints),
-                                  None))
-
-    if config.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_combo_task, tasks))
-    else:
-        chunks = [_combo_task(t) for t in tasks]
+        families = config.family_filter()
+        opts["include_qmds_datapoints"] = config.include_qmds_datapoints
+        tasks = [(family, q, h, opts, None)
+                 for family, q, h in applicable_combos(q_values) if family in families]
 
     rows: list[CatalogRow] = []
     seen: set[tuple] = set()
-    for chunk in chunks:
+    for chunk in fan_out(_combo_task, tasks, config.workers):
         for row in chunk:
             key = tuple(row.serialized_fields().items())
             if key not in seen:

@@ -272,9 +272,9 @@ def cmd_catalog(args, cfg: RunConfig) -> int:
     if args.exact_distance:
         updates["exact_distance"] = True
     cfg = dataclasses.replace(cfg, **updates)
+    cfg.validate()  # before the tables default, so LOW > HIGH is not an empty range
     if cfg.tables is None and not cfg.selected_q():
         cfg = dataclasses.replace(cfg, tables=sorted(k for k in (1, 2, 4, 5, 6)))
-    cfg.validate()
     rows, notes = generate_catalog(cfg)
     fmt = cfg.format or "csv"
     _emit(serialize_csv(rows, notes) if fmt == "csv" else serialize_json(rows), cfg)

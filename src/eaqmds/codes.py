@@ -9,6 +9,7 @@ under row-basis changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -214,6 +215,16 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
     return best
 
 
+def distance_check_feasible(n: int, redundancy: int, budget: int) -> bool:
+    """True when the full independence sweep fits the evaluation budget."""
+    total = 0
+    for w in range(1, redundancy + 1):
+        total += math.comb(n, w)
+        if total > budget:
+            return False
+    return True
+
+
 MDS_BY_BCH = "mds-bch"
 MDS_BY_EXACT = "mds-exact"
 NOT_MDS = "not-mds"
@@ -236,9 +247,3 @@ def classical_mds_verdict(code: ConstacyclicCode,
         return MDS_BY_BCH
     d = exact_distance_small(code, cap=target, budget=budget)
     return MDS_BY_EXACT if d == target else NOT_MDS
-
-
-def is_classical_mds(code: ConstacyclicCode,
-                     budget: int = DEFAULT_DISTANCE_BUDGET) -> bool:
-    """True iff the verified minimum distance equals n - k + 1."""
-    return classical_mds_verdict(code, budget=budget).startswith("mds")

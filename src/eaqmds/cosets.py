@@ -194,11 +194,6 @@ def t_minus_q(t: DefiningSet) -> frozenset[int]:
     return frozenset(minus_q(t.spec, s) for s in t.elements)
 
 
-def decompose(t: DefiningSet) -> tuple[frozenset[int], frozenset[int]]:
-    """The split (T & T^{-q}, T \\ T^{-q}) of the defining set."""
-    return t.t_ss, t.t_sas
-
-
 def dual_containing(t: DefiningSet) -> bool:
     """True iff the code contains its Hermitian dual, i.e. T & T^{-q} is empty."""
     return not t.t_ss

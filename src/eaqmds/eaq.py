@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import ConstacyclicCode, build_code
+from .codes import ConstacyclicCode
 from .cosets import CodeSpec, DefiningSet
 
 
@@ -18,14 +18,20 @@ class EbitOracleMismatch(RuntimeError):
     """|T_ss| and rank(H H^dagger) disagreed; both count the needed ebits."""
 
 
+VERIFIED_BCH = "bch-only"
+VERIFIED_RANK = "rank-oracle"
+VERIFIED_EXACT = "exact-distance"
+
+
 @dataclass(frozen=True)
 class EaqParams:
-    """[[n, k, d; c]]_q parameters with their verification verdicts.
+    """[[n, k, d; c]]_q parameters with the strongest check that ran on them.
 
     d is the BCH lower bound of the source code; when the EA-Singleton bound
-    holds with equality that bound is the exact distance.  oracle_agreement
-    is True when the rank oracle was run and matched |T_ss|, None when only
-    the combinatorial count was computed.
+    holds with equality that bound is the exact distance.  verified is
+    VERIFIED_BCH when only the set arithmetic ran, VERIFIED_RANK when
+    rank(H H^dagger) matched |T_ss| as well, and VERIFIED_EXACT when the
+    exhaustive distance sweep confirmed d = n - k + 1 of the source code.
     """
 
     q: int
@@ -34,7 +40,7 @@ class EaqParams:
     d: int
     c: int
     mds: bool
-    oracle_agreement: bool | None = None
+    verified: str = VERIFIED_BCH
 
     def __post_init__(self) -> None:
         if not 0 <= self.c <= self.n - 1:
@@ -42,6 +48,15 @@ class EaqParams:
 
     def __str__(self) -> str:
         return f"[[{self.n}, {self.k}, {self.d}; {self.c}]]_{self.q}"
+
+    @classmethod
+    def from_defining_set(cls, spec: CodeSpec, t: DefiningSet, d: int,
+                          verified: str) -> EaqParams:
+        """[[n, n - 2|T| + |T_ss|, d; |T_ss|]]_q for the defining set t."""
+        c = len(t.t_ss)
+        k = spec.n - 2 * len(t.elements) + c
+        return cls(q=spec.q, n=spec.n, k=k, d=d, c=c,
+                   mds=spec.n + c - k == 2 * (d - 1), verified=verified)
 
 
 def check_singleton(params: EaqParams) -> bool:
@@ -64,15 +79,6 @@ def ebits_rank_oracle(code: ConstacyclicCode) -> int:
     return (h @ h.conj_transpose()).rank()
 
 
-def _params(spec: CodeSpec, t: DefiningSet, c: int,
-            oracle_agreement: bool | None, bch: int) -> EaqParams:
-    k = spec.n - 2 * len(t.elements) + c
-    params = EaqParams(q=spec.q, n=spec.n, k=k, d=bch, c=c,
-                       mds=spec.n + c - k == 2 * (bch - 1),
-                       oracle_agreement=oracle_agreement)
-    return params
-
-
 def derive_eaq(code: ConstacyclicCode) -> EaqParams:
     """[[n, n - 2|T| + |T_ss|, d >= bch; |T_ss|]]_q with both ebit oracles run."""
     t = code.defining_set
@@ -82,21 +88,4 @@ def derive_eaq(code: ConstacyclicCode) -> EaqParams:
         raise EbitOracleMismatch(
             f"|T_ss| = {c_comb} but rank(H H^dagger) = {c_rank} for "
             f"defining set {sorted(t.elements)} of {code.spec!r}")
-    return _params(code.spec, t, c_comb, True, code.bch_delta)
-
-
-def derive_eaq_combinatorial(spec: CodeSpec, t: DefiningSet) -> EaqParams:
-    """Parameter derivation from set arithmetic only (no matrices built).
-
-    Used for large catalog instances where the rank oracle is not requested;
-    oracle_agreement is left None.
-    """
-    from .codes import bch_delta
-    return _params(spec, t, ebits_combinatorial(t), None, bch_delta(t))
-
-
-def derive_eaq_from_sets(spec: CodeSpec, t: DefiningSet,
-                         rank_oracle: bool) -> EaqParams:
-    if rank_oracle:
-        return derive_eaq(build_code(spec, t))
-    return derive_eaq_combinatorial(spec, t)
+    return EaqParams.from_defining_set(code.spec, t, code.bch_delta, VERIFIED_RANK)

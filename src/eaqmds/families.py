@@ -2,18 +2,23 @@
 
 Each family fixes (r, n) as a function of q, assembles the defining set as
 an interval of cosets, and predicts |T_ss| from its threshold on the range
-index k.  enumerate_family replays the whole pipeline for every admissible
-distance and verifies the prediction against the computed decomposition
-(and, optionally, against the parity-check rank oracle).
+index k.  instance_params is the one place an instance is checked: the
+catalog, the verification suite and the `family` command all call it, at
+the verification level they need.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
+from .codes import (DEFAULT_DISTANCE_BUDGET, bch_delta, build_code,
+                    distance_check_feasible, exact_distance_small)
 from .cosets import CodeSpec, DefiningSet, make_spec
-from .eaq import EaqParams, derive_eaq_from_sets, singleton_equality
+from .eaq import (VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK, EaqParams,
+                  ebits_rank_oracle, singleton_equality)
 from .fields import factorize, is_prime
 
 
@@ -153,27 +158,45 @@ def predicted_tss_at(family: FamilyId, q: int, h: int | None, k: int) -> int:
     return 1 if k >= threshold else 0
 
 
-def predicted_tss(instance: FamilyInstance) -> int:
-    return predicted_tss_at(instance.family, instance.q, instance.h, instance.k)
-
-
-def instance_params(instance: FamilyInstance, rank_oracle: bool = False) -> EaqParams:
+def instance_params(instance: FamilyInstance, *, rank_oracle: bool = False,
+                    exact_distance: bool = False,
+                    distance_budget: int = DEFAULT_DISTANCE_BUDGET) -> EaqParams:
     """Verified EA parameters for one instance.
 
-    Checks, in order: the defining set is a single consecutive run so the
-    BCH bound is |T| + 1; the computed |T_ss| matches the family prediction
-    (and the rank oracle when requested); Singleton equality holds whenever
-    the predicted ebit count is hit.
+    Always checks that the computed |T_ss| matches the family prediction,
+    that the defining set is a single consecutive run so the BCH bound is
+    |T| + 1, and that the Singleton equality holds.  rank_oracle adds
+    rank(H H^dagger) = |T_ss|; exact_distance adds the exhaustive distance
+    sweep wherever distance_check_feasible allows it.  The code is built at
+    most once, and only for those two checks.  Every failure is collected
+    into one VerificationError that names the instance; the returned params
+    carry the strongest verification level that ran.
     """
-    t = instance.t
-    params = derive_eaq_from_sets(instance.spec, t, rank_oracle)
+    spec, t = instance.spec, instance.t
+    size, c = len(t.elements), len(t.t_ss)
     failures = []
-    if params.d != len(t.elements) + 1:
-        failures.append(f"defining set is not a single run: bch={params.d}, |T|={len(t.elements)}")
-    if len(t.t_ss) != instance.predicted_tss:
-        failures.append(f"|T_ss|={len(t.t_ss)} but the family predicts {instance.predicted_tss}")
-    if params.c != instance.predicted_tss:
-        failures.append(f"derived c={params.c} differs from predicted {instance.predicted_tss}")
+    if c != instance.predicted_tss:
+        failures.append(f"|T_ss|={c} but the family predicts {instance.predicted_tss}")
+    exact = exact_distance and distance_check_feasible(spec.n, size, distance_budget)
+    verified = VERIFIED_BCH
+    if rank_oracle or exact:
+        code = build_code(spec, t)
+        bch = code.bch_delta
+        if rank_oracle:
+            c_rank = ebits_rank_oracle(code)
+            if c_rank != c:
+                failures.append(f"rank oracle {c_rank} != |T_ss| {c}")
+            verified = VERIFIED_RANK
+        if exact:
+            d = exact_distance_small(code, budget=distance_budget)
+            if d != code.n - code.dim + 1:
+                failures.append(f"exact distance {d} != n-k+1 = {code.n - code.dim + 1}")
+            verified = VERIFIED_EXACT
+    else:
+        bch = bch_delta(t)
+    if bch != size + 1:
+        failures.append(f"defining set is not a single run: bch={bch}, |T|={size}")
+    params = EaqParams.from_defining_set(spec, t, bch, verified)
     if not singleton_equality(params):
         failures.append(f"Singleton equality fails for {params}")
     if failures:
@@ -181,31 +204,10 @@ def instance_params(instance: FamilyInstance, rank_oracle: bool = False) -> EaqP
     return params
 
 
-def enumerate_family(family: FamilyId, q: int, h: int | None = None, *,
-                     rank_oracle: bool = False,
-                     include_qmds_datapoints: bool = False) -> list[EaqParams]:
-    """One verified EaqParams per admissible distance of the construction.
-
-    The default range covers the nonzero ebit count (4 or 1); with
-    include_qmds_datapoints the dual-containing low-distance instances of
-    the length-q^2+1 families are emitted too, as c = 0 rows.
-    """
-    lo, hi = k_range(family, q, h)
-    threshold = tss_threshold(family, q, h)
-    start = threshold if not include_qmds_datapoints else lo
-    start = max(start, lo)
-    out = []
-    for k in range(start, hi + 1):
-        instance = family_defining_set(family, q, h, k)
-        if not include_qmds_datapoints and instance.predicted_tss == 0:
-            continue
-        out.append(instance_params(instance, rank_oracle=rank_oracle))
-    return out
-
-
 def family_instances(family: FamilyId, q: int, h: int | None = None,
                      include_qmds_datapoints: bool = True) -> list[FamilyInstance]:
-    """All instances of the construction's k-range, sub-threshold included."""
+    """The instances of the construction's k-range, in k order; without the
+    QMDS datapoints the range starts at the |T_ss| threshold."""
     lo, hi = k_range(family, q, h)
     start = lo if include_qmds_datapoints else max(lo, tss_threshold(family, q, h))
     return [family_defining_set(family, q, h, k) for k in range(start, hi + 1)]
@@ -216,19 +218,12 @@ def applicable_combos(q_values: list[int]) -> list[tuple[FamilyId, int, int | No
     combos: list[tuple[FamilyId, int, int | None]] = []
     for family in FAMILY_ORDER:
         for q in sorted(q_values):
-            if family is FamilyId.QM1_H:
-                for h in (3, 5, 7):
-                    try:
-                        check_applicable(family, q, h)
-                    except FamilyError:
-                        continue
-                    combos.append((family, q, h))
-            else:
+            for h in (3, 5, 7) if family is FamilyId.QM1_H else (None,):
                 try:
-                    check_applicable(family, q)
+                    check_applicable(family, q, h)
                 except FamilyError:
                     continue
-                combos.append((family, q, None))
+                combos.append((family, q, h))
     return combos
 
 
@@ -239,3 +234,15 @@ def odd_prime_powers(limit: int) -> list[int]:
         if len(facts) == 1:
             out.append(q)
     return out
+
+
+def fan_out(fn: Callable, tasks: list, workers: int) -> list:
+    """[fn(task) for task in tasks], over a process pool when workers > 1.
+
+    fn and the tasks are pickled for the workers, so fn must be a
+    module-level function.
+    """
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]

@@ -8,17 +8,16 @@ multiplicative order under the same ordering.  These conventions make every
 element encoding and every derived object bit-reproducible across runs.
 
 Elements are encoded as integers in [0, p^l): the base-p digits of the code
-are the coordinates with respect to the power basis of the modulus.  `Field`
-methods operate directly on integer codes; `FieldElement` wraps a code for
-operator-style use.  Fields of small order lazily build full add/mul tables
-so that matrix elimination stays fast.
+are the coordinates with respect to the power basis of the modulus, and
+`Field` methods operate directly on these integer codes.  Fields of small
+order lazily build full add/mul tables so that matrix elimination stays
+fast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 FIELD_ORDER_BUDGET = 2**32
 _TABLE_MAX_ORDER = 1024
@@ -219,19 +218,8 @@ class Field:
             code = code * self.p + c % self.p
         return code
 
-    def element(self, value: int | Sequence[int]) -> FieldElement:
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise ValueError(f"code {value} outside [0, {self.order})")
-            return FieldElement(self, value)
-        return FieldElement(self, self.encode(value))
-
     def codes(self) -> range:
         return range(self.order)
-
-    def elements(self) -> Iterator[FieldElement]:
-        for code in range(self.order):
-            yield FieldElement(self, code)
 
     # -- arithmetic on codes ---------------------------------------------
 
@@ -294,9 +282,6 @@ class Field:
         if self._inv_table is not None:
             return self._inv_table[a]
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -402,71 +387,6 @@ def make_field(p: int, degree: int = 1) -> Field:
     return Field(p, degree, _canonical_modulus(p, degree))
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element: a code with operator sugar on top of `Field`."""
-
-    field: Field
-    code: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.code)
-
-    def _coerce(self, other: FieldElement | int) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other.code
-        return other % self.field.p  # small-integer constants embed as constants
-
-    def __add__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.field, self.field.add(self.code, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.field, self.field.sub(self.code, self._coerce(other)))
-
-    def __rsub__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.code))
-
-    def __mul__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.field, self.field.mul(self.code, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.field, self.field.div(self.code, self._coerce(other)))
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int) -> FieldElement:
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def conj(self) -> FieldElement:
-        return FieldElement(self.field, self.field.conj(self.code))
-
-    def order(self) -> int:
-        return self.field.element_order(self.code)
-
-
-def primitive_element(field: Field) -> FieldElement:
-    """Canonically smallest element of full multiplicative order."""
-    return FieldElement(field, field.primitive_code())
-
-
-def conj(x: FieldElement) -> FieldElement:
-    return x.conj()
-
-
 # ----------------------------------------------------------------------
 # Subfield embeddings
 # ----------------------------------------------------------------------
@@ -496,11 +416,6 @@ class Embedding:
             if c:
                 out = dst.add(out, dst.mul(c, rho_i))
         return out
-
-    def apply(self, x: FieldElement) -> FieldElement:
-        if x.field is not self.src:
-            raise ValueError("element not in the embedding's source field")
-        return FieldElement(self.dst, self(x.code))
 
     def _build_solver(self) -> tuple[list[list[int]], list[int]]:
         # Row-reduce [E | I_b] over F_p, where E's columns are the digit
@@ -599,10 +514,6 @@ class Poly:
         return cls(field, (1,))
 
     @classmethod
-    def x_pow(cls, field: Field, n: int) -> Poly:
-        return cls(field, (0,) * n + (1,))
-
-    @classmethod
     def binomial(cls, field: Field, n: int, constant: int) -> Poly:
         """x^n + constant (pass a negated code for x^n - c)."""
         return cls(field, (constant,) + (0,) * (n - 1) + (1,))
@@ -686,21 +597,8 @@ class Poly:
                 rem.pop()
         return Poly(f, quot), Poly(f, rem)
 
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
-
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
-
-    def eval_at(self, x: int) -> int:
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
-
-    def map_coeffs(self, fn, target: Field) -> Poly:
-        return Poly(target, [fn(c) for c in self.coeffs])
 
 
 # ----------------------------------------------------------------------
@@ -747,9 +645,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(all(v == 0 for v in row) for row in self.entries)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
 
     def transpose(self) -> Matrix:
         return Matrix(self.field, list(zip(*self.entries)), cols=self.rows)

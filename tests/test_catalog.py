@@ -1,11 +1,13 @@
 import json
+import sys
 
 import pytest
 
+from eaqmds import codes
 from eaqmds.catalog import (CatalogRow, ConfigError, RunConfig, TABLE_ENTRIES,
-                            distance_check_feasible, generate_catalog,
-                            rows_for_combo, serialize_csv, serialize_json,
-                            table1_family)
+                            generate_catalog, rows_for_combo, serialize_csv,
+                            serialize_json, table1_family)
+from eaqmds.codes import distance_check_feasible
 from eaqmds.families import FamilyId
 
 
@@ -141,3 +143,21 @@ def test_all_table_entries_cover_published_q():
     assert [q for q, _ in TABLE_ENTRIES[4]] == [13, 23, 43, 53]
     assert [q for q, _ in TABLE_ENTRIES[5]] == [17, 27, 37, 47]
     assert TABLE_ENTRIES[6] == [(11, 3), (17, 3), (19, 5), (29, 5), (13, 7), (41, 7)]
+
+
+def test_rows_for_combo_builds_each_code_once(monkeypatch):
+    calls = []
+    original = codes.build_code
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module that bound build_code under its own name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eaqmds") and getattr(module, "build_code", None) is original:
+            monkeypatch.setattr(module, "build_code", counted)
+    rows = rows_for_combo(FamilyId.TENTH_3, 13, None, rank_oracle=True,
+                          exact_distance=True)
+    assert len(rows) == 4
+    assert len(calls) == len(rows)

@@ -1,5 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import eaqmds
 from eaqmds.cli import main
 
 
@@ -199,3 +206,68 @@ def test_verify_family_filter(capsys):
     assert code == 0
     assert "Q2P1_NEGA" not in out.replace("note:", "")  # only notes may mention others
     assert "[ok] QM1_H q=5 h=3" in out
+
+
+def test_verify_with_no_family_instance_in_scope_exit_2(capsys):
+    # the descent canary alone must not pass for a verification run
+    code, out, err = run_cli(capsys, "verify", "--q-max", "3")
+    assert code == 2 and out == "" and "no family instance" in err
+    code, _, err = run_cli(capsys, "verify", "--q-max", "11", "--families", "TENTH_3")
+    assert code == 2 and "no family instance" in err
+
+
+# ---------------------------------------------------------------------------
+# bad input: exit 2 with a one-line message, never a traceback
+# ---------------------------------------------------------------------------
+
+def test_catalog_reversed_q_range_exit_2(capsys):
+    code, out, err = run_cli(capsys, "catalog", "--q-range", "9:5")
+    assert code == 2 and out == ""
+    assert err == "error: q_range low 9 exceeds high 5\n"
+
+
+@pytest.mark.parametrize("config", [
+    {"workers": "4"},
+    {"workers": True},
+    {"distance_budget": "10"},
+    {"distance_cap": 2.5},
+    {"q_range": 5},
+    {"q_range": [5]},
+    {"q_range": [5, "9"]},
+    {"families": "QM1_H"},
+    {"families": [1]},
+    {"tables": [4, "5"]},
+    {"q_list": "5,7"},
+    {"rank_oracle": 1},
+    {"format": ["csv"]},
+    {"out": 3},
+])
+def test_config_key_types_exit_2(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eaqmds.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "eaqmds.cli", "--config", str(path),
+                           "catalog", "--tables", "4"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: config key ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# output bytes pinned to digests taken before the single-pipeline refactor
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,digest", [
+    (["catalog", "--tables", "1,2,4,5,6"],
+     "6d074b4ad62ebeb6d9583176eec0ba2513f01e2122e2b672f4bc1055177e13fd"),
+    (["--format", "json", "catalog", "--tables", "1,2,4,5,6"],
+     "7e7e89e1dfd019c1e551dd47994e091c9b30cd711d86f80d30fde6b6f802ffc0"),
+    (["verify", "--q-max", "7", "--no-exact-distance"],
+     "a14bb4a9cbbc75742dcf8e7dda3b8eb8e0c0db7bc0d60ed078a9d1d179d3de5c"),
+], ids=["tables-csv", "tables-json", "verify-q7"])
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

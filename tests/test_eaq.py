@@ -5,9 +5,9 @@ import pytest
 from eaqmds.codes import build_code
 from eaqmds.cosets import DefiningSet, dual_containing, make_spec
 from eaqmds.eaq import (EaqParams, EbitOracleMismatch, check_singleton,
-                        derive_eaq, derive_eaq_combinatorial,
-                        ebits_combinatorial, ebits_rank_oracle,
+                        derive_eaq, ebits_combinatorial, ebits_rank_oracle,
                         singleton_equality)
+from eaqmds.families import FamilyId, family_defining_set, instance_params
 from eaqmds.fields import Matrix
 
 import eaqmds.eaq as eaq_module
@@ -80,7 +80,7 @@ def test_derive_eaq_examples():
     _, _, code = _setup(5, 2, 26, leaders=[13, 15, 17, 19])
     p = derive_eaq(code)
     assert (p.n, p.k, p.d, p.c) == (26, 16, 8, 4)
-    assert p.mds and p.oracle_agreement
+    assert p.mds and p.verified == "rank-oracle"
 
     _, _, code = _setup(13, 2, 17, leaders=[17])
     p = derive_eaq(code)
@@ -93,12 +93,15 @@ def test_derive_eaq_examples():
 
 
 def test_derive_combinatorial_matches_full_derivation():
+    # the Q2P1_NEGA q=5 instance at k=3 has exactly these leaders
     spec, t, code = _setup(5, 2, 26, leaders=[13, 15, 17, 19])
-    fast = derive_eaq_combinatorial(spec, t)
+    instance = family_defining_set(FamilyId.Q2P1_NEGA, 5, k=3)
+    assert instance.t == t
+    fast = instance_params(instance)
     full = derive_eaq(code)
     assert (fast.n, fast.k, fast.d, fast.c, fast.mds) == \
            (full.n, full.k, full.d, full.c, full.mds)
-    assert fast.oracle_agreement is None and full.oracle_agreement is True
+    assert fast.verified == "bch-only" and full.verified == "rank-oracle"
 
 
 def test_k_relation():

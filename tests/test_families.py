@@ -5,9 +5,9 @@ from eaqmds.cosets import (DefiningSet, coset, forms_skew_pair,
                            is_skew_symmetric, skew_partner)
 from eaqmds.eaq import singleton_equality
 from eaqmds.families import (FamilyError, FamilyId, VerificationError,
-                             enumerate_family, family_defining_set,
-                             family_instances, family_spec, instance_params,
-                             k_range, predicted_tss, tss_threshold)
+                             family_defining_set, family_instances, family_spec,
+                             instance_params, k_range, predicted_tss_at,
+                             tss_threshold)
 
 NEGA = FamilyId.Q2P1_NEGA
 CONSTA = FamilyId.Q2P1_CONSTA
@@ -71,7 +71,7 @@ def test_family_specs():
 def test_nega_defining_set_q5_k3():
     inst = family_defining_set(NEGA, 5, k=3)
     assert sorted(inst.t.elements) == [7, 9, 11, 13, 15, 17, 19]
-    assert inst.predicted_tss == 4 == predicted_tss(inst)
+    assert inst.predicted_tss == 4 == predicted_tss_at(NEGA, 5, None, 3)
 
 
 def test_tenth3_defining_set_q13_k3():
@@ -176,26 +176,31 @@ def test_instance_params_singleton_equality():
 # enumeration
 # ---------------------------------------------------------------------------
 
+def _family_params(family, q, h=None, include_qmds_datapoints=False, **checks):
+    return [instance_params(inst, **checks)
+            for inst in family_instances(family, q, h, include_qmds_datapoints)]
+
+
 def test_enumerate_nega_q5():
-    rows = enumerate_family(NEGA, 5)
+    rows = _family_params(NEGA, 5)
     assert [(r.n, r.k, r.d, r.c) for r in rows] == \
         [(26, 32 - 2 * d, d, 4) for d in (8, 10, 12, 14)]
 
 
 def test_enumerate_tenth3_q13():
-    rows = enumerate_family(T3, 13)
+    rows = _family_params(T3, 13)
     assert [(r.n, r.k, r.d, r.c) for r in rows] == \
         [(17, 20 - 2 * d, d, 1) for d in (2, 4, 6, 8)]
 
 
 def test_enumerate_qm1_q11_h3():
-    rows = enumerate_family(QM1, 11, 3)
+    rows = _family_params(QM1, 11, 3)
     assert [(r.n, r.k, r.d, r.c) for r in rows] == \
         [(40, 43 - 2 * d, d, 1) for d in range(5, 12)]
 
 
 def test_enumerate_with_qmds_datapoints():
-    rows = enumerate_family(NEGA, 5, include_qmds_datapoints=True)
+    rows = _family_params(NEGA, 5, include_qmds_datapoints=True)
     assert [(r.d, r.c) for r in rows] == \
         [(2, 0), (4, 0), (6, 0), (8, 4), (10, 4), (12, 4), (14, 4)]
     for r in rows:
@@ -203,14 +208,14 @@ def test_enumerate_with_qmds_datapoints():
 
 
 def test_enumerate_with_rank_oracle_sets_agreement():
-    rows = enumerate_family(T3, 13, rank_oracle=True)
-    assert all(r.oracle_agreement is True for r in rows)
-    rows = enumerate_family(T3, 13)
-    assert all(r.oracle_agreement is None for r in rows)
+    rows = _family_params(T3, 13, rank_oracle=True)
+    assert all(r.verified == "rank-oracle" for r in rows)
+    rows = _family_params(T3, 13)
+    assert all(r.verified == "bch-only" for r in rows)
 
 
 def test_enumerate_consta_matches_published_shape():
-    rows = enumerate_family(CONSTA, 7)
+    rows = _family_params(CONSTA, 7)
     assert [(r.d, r.k) for r in rows] == [(d, 56 - 2 * d) for d in range(10, 21, 2)]
 
 

@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from eaqmds.fields import (Matrix, Poly, extend, make_field, primitive_element,
-                           prime_power_split)
+from eaqmds.fields import Matrix, Poly, extend, make_field, prime_power_split
 
 import oracles
 
@@ -77,7 +76,7 @@ def test_primitive_elements():
     for code in range(1, g):
         assert oracles.order_by_iteration(F25, code) != 24
     assert oracles.order_by_iteration(F25, g) == 24
-    assert primitive_element(F25).code == g
+    assert F25.element_order(g) == 24
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +110,17 @@ def test_frobenius_power_l_is_identity(a):
     assert F27.pow(a, F27.order) == a
 
 
-def test_element_wrapper_operators():
-    x = F25.element(7)
-    y = F25.element(12)
-    assert (x + y).code == F25.add(7, 12)
-    assert (x * y).code == F25.mul(7, 12)
-    assert (x - y) + y == x
-    assert (x / y) * y == x
-    assert (-x) + x == F25.element(0)
-    assert (x**3).code == F25.pow(7, 3)
-    assert x.coeffs == F25.decode(7)
+def test_field_code_operators():
+    x, y = 7, 12
+    assert F25.add(x, y) == F25.add(y, x)
+    assert F25.mul(x, y) == F25.mul(y, x)
+    assert F25.add(F25.sub(x, y), y) == x
+    assert F25.mul(F25.mul(x, F25.inv(y)), y) == x
+    assert F25.add(F25.neg(x), x) == 0
+    assert F25.pow(x, 3) == F25.mul(x, F25.mul(x, x))
+    assert F25.encode(F25.decode(x)) == x
     with pytest.raises(ValueError):
-        x + F49.element(1)
+        F25.encode((1, 2, 3))  # more coordinates than the degree
 
 
 # ---------------------------------------------------------------------------
