@@ -165,10 +165,9 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
     m = h.rows
     limit = m + 1 if cap is None else min(cap, m + 1)
     f = h.field
-    f._ensure_tables()
-    mul, sub, inv = f.mul, f.sub, f.inv
-    columns = [tuple(h.entries[i][j] for i in range(m)) for j in range(n)]
-    zero = (0,) * m
+    scale, sub_scaled, inv = f.scale, f.sub_scaled, f.inv
+    columns = [list(col) for col in zip(*h.entries)]
+    zero = [0] * m
 
     best: int | None = None
     visits = 0
@@ -178,7 +177,7 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
     # costs one elimination per surviving column.  A reduced-to-zero column
     # closes a dependent subset; pruning at `best` is sound because deeper
     # subsets are strictly larger.
-    def dfs(remaining: list[tuple[int, tuple[int, ...]]], depth: int) -> None:
+    def dfs(remaining: list[tuple[int, list[int]]], depth: int) -> None:
         nonlocal best, visits
         if depth == m:
             # full pivot rank: any remaining column is a certain dependency
@@ -202,12 +201,12 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
             if best is not None and depth + 2 >= best:
                 continue
             pos = next(i for i in range(m) if col[i])
-            norm = col if col[pos] == 1 else tuple(mul(inv(col[pos]), x) for x in col)
+            norm = col if col[pos] == 1 else scale(inv(col[pos]), col)
             children = []
             for j2, col2 in remaining[idx + 1:]:
                 c = col2[pos]
                 if c:
-                    col2 = tuple(sub(x, mul(c, y)) for x, y in zip(col2, norm))
+                    col2 = sub_scaled(col2, c, norm)
                 children.append((j2, col2))
             dfs(children, depth + 1)
 

@@ -86,13 +86,14 @@ class CyclotomicCoset:
 
 
 def coset(spec: CodeSpec, s: int) -> CyclotomicCoset:
-    if not in_omega(spec, s % spec.rn if s >= spec.rn or s < 0 else s):
+    rn = spec.rn
+    start = s % rn
+    if not in_omega(spec, start):
         raise ValueError(f"{s} is not in Omega for {spec!r}")
-    s %= spec.rn
-    qq, rn = spec.q * spec.q % spec.rn, spec.rn
-    orbit = [s]
-    x = s * qq % rn
-    while x != s:
+    qq = spec.q * spec.q % rn
+    orbit = [start]
+    x = start * qq % rn
+    while x != start:
         orbit.append(x)
         x = x * qq % rn
     orbit.sort()

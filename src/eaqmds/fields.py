@@ -9,14 +9,21 @@ element encoding and every derived object bit-reproducible across runs.
 
 Elements are encoded as integers in [0, p^l): the base-p digits of the code
 are the coordinates with respect to the power basis of the modulus, and
-`Field` methods operate directly on these integer codes.  Fields of small
-order lazily build full add/mul tables so that matrix elimination stays
-fast.
+`Field` methods operate directly on these integer codes.
+
+Matrix elimination, matrix products and the exact-distance search work a
+row at a time through three `Field` kernels: `scale`, `sub_scaled` and
+`dot`.  A field of order at most 1024 builds full add/mul tables the first
+time a kernel or a matrix operation needs them, from discrete logarithms to
+its canonical primitive element (see `Field._ensure_tables`), so that a
+kernel costs one or two list lookups per entry.  Larger fields run the same
+kernels on digit-by-digit arithmetic.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 FIELD_ORDER_BUDGET = 2**32
@@ -343,36 +350,103 @@ class Field:
                     break
         return self._primitive
 
+    # -- row kernels: table lookups, or the per-element methods above the cap
+
+    def scale(self, g: int, ys: Sequence[int]) -> list[int]:
+        """[g*y for y in ys]."""
+        if not self._has_tables():
+            mul = self.mul
+            return [mul(g, y) for y in ys]
+        n = self.order
+        row = self._mul_table[g * n:g * n + n]
+        return [row[y] for y in ys]
+
+    def sub_scaled(self, xs: Sequence[int], g: int, ys: Sequence[int]) -> list[int]:
+        """[x - g*y for x, y in zip(xs, ys)]."""
+        if not self._has_tables():
+            add, mul, ng = self.add, self.mul, self.neg(g)
+            return [add(x, mul(ng, y)) for x, y in zip(xs, ys)]
+        n, add, mul = self.order, self._add_table, self._mul_table
+        negmul = self._neg_table[g] * n  # offset of the mul-table row of -g
+        return [add[x * n + mul[negmul + y]] for x, y in zip(xs, ys)]
+
+    def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
+        """sum(x*y for x, y in zip(xs, ys))."""
+        if not self._has_tables():
+            add, mul = self.add, self.mul
+            acc = 0
+            for x, y in zip(xs, ys):
+                if x and y:
+                    acc = add(acc, mul(x, y))
+            return acc
+        n, add, mul = self.order, self._add_table, self._mul_table
+        acc = 0
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = add[acc * n + mul[x * n + y]]
+        return acc
+
     # -- lookup-table acceleration ----------------------------------------
 
+    def _has_tables(self) -> bool:
+        """Build the tables on first use; False above the order cap."""
+        if self._mul_table is None:
+            self._ensure_tables()
+        return self._mul_table is not None
+
     def _ensure_tables(self) -> None:
+        """Build the add/mul/neg/inv/conj tables of a field of order <= 1024.
+
+        Multiplication goes through discrete logarithms to the canonical
+        primitive element g: order - 2 digit-by-digit products give
+        exp[i] = g^i, and every other product, inverse and conjugate is
+        exp[log a + log b], exp[-log a] or exp[q log a].  Addition is
+        digit-wise: the row of a one-digit element d*p^i moves digit i of
+        every code by d, and the row of any other element composes the row
+        of its top digit with the row of the rest.  Both tables are flat,
+        indexed [a*order + b].
+        """
         if self._mul_table is not None or self.order > _TABLE_MAX_ORDER:
             return
-        n = self.order
-        decoded = [self.decode(c) for c in range(n)]
-        p, l = self.p, self.degree
-        add = [0] * (n * n)
-        for a in range(n):
-            da = decoded[a]
-            base = a * n
-            for b in range(a, n):
-                s = self.encode([(x + y) % p for x, y in zip(da, decoded[b])])
-                add[base + b] = s
-                add[b * n + a] = s
+        n, p = self.order, self.p
+        codes = list(range(n))  # every table entry refers to one of these
+        g = self.primitive_code()
+        exp = [1]
+        for _ in range(n - 2):
+            exp.append(codes[self.mul(exp[-1], g)])
+        log = [0] * n
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp2 = exp + exp  # exp2[i + j] = g^(i+j) for 0 <= i, j < n - 1
+        logs = log[1:]
         mul = [0] * (n * n)
         for a in range(1, n):
-            base = a * n
-            for b in range(a, n):
-                m = self.mul(a, b)
-                mul[base + b] = m
-                mul[b * n + a] = m
+            la = log[a]
+            mul[a * n + 1:a * n + n] = [exp2[la + lb] for lb in logs]
+
+        add = [0] * (n * n)
+        add[:n] = codes
+        shift: dict[int, itemgetter] = {}
+        w = 1
+        for a in range(1, n):
+            if a == w * p:
+                w = a
+            low = a % w
+            if low == 0:  # one-digit element d*w: move digit log_p(w) by d
+                d = a // w
+                row = [codes[b + ((b // w + d) % p - b // w % p) * w] for b in codes]
+                shift[a] = itemgetter(*row)
+            else:
+                row = shift[a - low](add[low * n:low * n + n])
+            add[a * n:a * n + n] = row
+
         self._add_table = add
-        self._neg_table = [self.neg(a) for a in range(n)]
         self._mul_table = mul
-        self._inv_table = [0] + [self.pow(a, n - 2) for a in range(1, n)]
+        self._neg_table = mul[(p - 1) * n:p * n]  # -a = (p-1)*a
+        self._inv_table = [0, 1] + [exp[n - 1 - log[a]] for a in range(2, n)]
         if self.degree % 2 == 0:
             q = self.q_level
-            self._conj_table = [self.pow(a, q) for a in range(n)]
+            self._conj_table = [0] + [exp[log[a] * q % (n - 1)] for a in range(1, n)]
 
 
 @lru_cache(maxsize=None)
@@ -663,26 +737,16 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         f = self.field
-        f._ensure_tables()
-        mul, add = f.mul, f.add
+        dot = f.dot
         bcols = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        out = []
-        for arow in self.entries:
-            orow = []
-            for bcol in bcols:
-                acc = 0
-                for x, y in zip(arow, bcol):
-                    if x and y:
-                        acc = add(acc, mul(x, y))
-                orow.append(acc)
-            out.append(orow)
+        out = [[dot(arow, bcol) for bcol in bcols] for arow in self.entries]
         return Matrix(f, out, cols=other.cols)
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
         f = self.field
         f._ensure_tables()
-        mul, sub, inv = f.mul, f.sub, f.inv
+        scale, sub_scaled, inv = f.scale, f.sub_scaled, f.inv
         rows = [list(r) for r in self.entries]
         pivots: list[int] = []
         r = 0
@@ -695,13 +759,12 @@ class Matrix:
             rows[r], rows[piv] = rows[piv], rows[r]
             lead = rows[r][c]
             if lead != 1:
-                fct = inv(lead)
-                rows[r][c:] = [mul(fct, v) for v in rows[r][c:]]
-            prow = rows[r]
+                rows[r][c:] = scale(inv(lead), rows[r][c:])
+            ptail = rows[r][c:]
             for i in range(self.rows):
                 g = rows[i][c]
                 if g and i != r:
-                    rows[i][c:] = [sub(v, mul(g, w)) for v, w in zip(rows[i][c:], prow[c:])]
+                    rows[i][c:] = sub_scaled(rows[i][c:], g, ptail)
             pivots.append(c)
             r += 1
         return Matrix(f, rows, cols=self.cols), tuple(pivots)

@@ -95,6 +95,15 @@ def test_coset_rejects_outside_omega():
         coset(make_spec(5, 2, 26), 12)
 
 
+def test_coset_reduces_its_argument_mod_rn():
+    spec = make_spec(5, 2, 26)
+    for s in (15, 15 + spec.rn, 15 - spec.rn, 15 + 3 * spec.rn):
+        assert coset(spec, s) == coset(spec, 15)
+    # the message names the argument as given, not its residue
+    with pytest.raises(ValueError, match=r"^-40 is not in Omega"):
+        coset(spec, 12 - spec.rn)
+
+
 def test_cosets_partition_omega():
     for spec in specs():
         cosets = all_cosets(spec)

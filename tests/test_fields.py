@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from eaqmds.fields import Matrix, Poly, extend, make_field, prime_power_split
+from eaqmds.fields import (_TABLE_MAX_ORDER, Field, Matrix, Poly, extend, make_field,
+                           prime_power_split)
 
 import oracles
 
@@ -286,3 +287,67 @@ def test_conj_transpose_entries():
     assert h.entries[0][0] == F25.conj(2)
     assert h.entries[1][0] == F25.conj(7)
     assert h.entries[0][1] == F25.conj(11)
+
+
+# ---------------------------------------------------------------------------
+# lookup tables and row kernels
+# ---------------------------------------------------------------------------
+
+def _tables_off(field):
+    """A second instance of the field that never builds its lookup tables."""
+    return Field(field.p, field.degree, field.modulus)
+
+
+@pytest.mark.parametrize("p,l", [(3, 1), (3, 2), (5, 2), (3, 4), (13, 2), (17, 2), (2, 10)])
+def test_log_built_tables_equal_digitwise_arithmetic(p, l):
+    field = Field(p, l, make_field(p, l).modulus)
+    field._ensure_tables()
+    ref = _tables_off(field)
+    n = field.order
+    # every cell up to order 169; above that, every (n // 100)-th code
+    stride = 1 if n <= 169 else n // 100
+    grid = range(0, n, stride)
+    for a in grid:
+        for b in grid:
+            assert field._mul_table[a * n + b] == ref.mul(a, b), (a, b)
+            assert field._add_table[a * n + b] == ref.add(a, b), (a, b)
+    assert field._neg_table == [ref.neg(a) for a in range(n)]
+    assert field._inv_table[1:] == [ref.pow(a, n - 2) for a in range(1, n)]
+    if l % 2 == 0:
+        assert field._conj_table == [ref.pow(a, ref.q_level) for a in range(n)]
+    else:
+        assert field._conj_table is None
+
+
+F169 = make_field(13, 2)     # table-driven
+F1369 = make_field(37, 2)    # above the lookup-table cap
+KERNEL_FIELDS = [F169, F1369]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@given(data=st.data())
+def test_row_kernels_equal_per_element_definitions(field, data):
+    ref = _tables_off(field)
+    size = data.draw(st.integers(min_value=0, max_value=12))
+    vec = st.lists(codes_of(field), min_size=size, max_size=size)
+    g, xs, ys = data.draw(codes_of(field)), data.draw(vec), data.draw(vec)
+    assert field.scale(g, ys) == [ref.mul(g, y) for y in ys]
+    assert field.sub_scaled(xs, g, ys) == [ref.sub(x, ref.mul(g, y)) for x, y in zip(xs, ys)]
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = ref.add(acc, ref.mul(x, y))
+    assert field.dot(xs, ys) == acc
+    # kernels never leave a field under the cap without its tables
+    assert (field._mul_table is None) == (field.order > _TABLE_MAX_ORDER)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@given(data=st.data())
+def test_rank_over_kernel_fields_matches_minor_expansion_oracle(field, data):
+    ref = _tables_off(field)
+    row = st.lists(codes_of(field), min_size=4, max_size=4)
+    rows = data.draw(st.lists(row, min_size=1, max_size=3))
+    if len(rows) == 3:  # make the last row dependent on the first two
+        a, b = data.draw(codes_of(field)), data.draw(codes_of(field))
+        rows[2] = [ref.add(ref.mul(a, x), ref.mul(b, y)) for x, y in zip(rows[0], rows[1])]
+    assert Matrix(field, rows).rank() == oracles.minor_rank(ref, rows)
