@@ -1,10 +1,19 @@
 """Constacyclic code construction and minimum-distance verification.
 
-Codes are built from a defining set T: the generator polynomial is the
-product of (x - omega^j) over j in T, computed in F_{q^(2m)} and descended
-coefficientwise to F_{q^2}.  The parity-check matrix is a null-space basis
-of the generator matrix, which keeps the downstream rank oracle invariant
-under row-basis changes.
+A code is built from its defining set T, a union of q^2-cyclotomic cosets
+of classes modulo rn.  The generator polynomial g is the product over those
+cosets of their minimal polynomials over F_{q^2}: a coset's factors
+(x - omega^j), at most m of them, are multiplied in F_{q^(2m)}, the product
+is descended coefficientwise to F_{q^2}, and the minimal polynomials are
+multiplied there.  Descent doubles as the closure check, because a set that
+splits a coset leaves a coefficient outside F_{q^2}.  g must divide
+x^n - eta.
+
+The generator matrix is a band: its k = n - |T| rows are the shifts of g,
+|T| + 1 wide.  The parity-check matrix is a null-space basis of it, which
+keeps the downstream rank oracle invariant under row-basis changes, and
+G H^T = 0 is checked entry by entry.  Elimination and matrix products run
+only over each row's nonzero span, so both cost O(k |T|^2), not O(k^2 n).
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cosets import CodeSpec, DefiningSet, in_omega
+from .cosets import CodeSpec, DefiningSet, coset, in_omega
 from .fields import Embedding, Field, Matrix, Poly, extend, make_field
 
 DEFAULT_DISTANCE_BUDGET = 10**6
@@ -92,17 +101,23 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
     tower = build_tower(spec)
     top, q2 = tower.top, tower.q2
 
-    g_top = Poly.one(top)
-    for j in sorted(t.elements):
-        root = top.pow(tower.omega, j)
-        g_top = g_top * Poly(top, [top.neg(root), 1])
-    try:
-        coeffs = [tower.embed.descend(c) for c in g_top.coeffs]
-    except ValueError as exc:
-        raise CoefficientDescentError(
-            f"generator coefficients left F_{spec.q}^2; defining set "
-            f"{sorted(t.elements)} is not closed under multiplication by q^2") from exc
-    gen_poly = Poly(q2, coeffs)
+    # one minimal polynomial per coset; a coset T only partly covers has a
+    # factor with a coefficient outside F_{q^2}, and descent rejects it
+    gen_poly = Poly.one(q2)
+    rest = set(t.elements)
+    while rest:
+        orbit = [j for j in coset(spec, min(rest)).elements if j in rest]
+        rest.difference_update(orbit)
+        factor = Poly.one(top)
+        for j in orbit:
+            factor = factor * Poly(top, [top.neg(top.pow(tower.omega, j)), 1])
+        try:
+            coeffs = [tower.embed.descend(c) for c in factor.coeffs]
+        except ValueError as exc:
+            raise CoefficientDescentError(
+                f"generator coefficients left F_{spec.q}^2; defining set "
+                f"{sorted(t.elements)} is not closed under multiplication by q^2") from exc
+        gen_poly = gen_poly * Poly(q2, coeffs)
 
     x_n_minus_eta = Poly.binomial(q2, spec.n, q2.neg(tower.eta))
     if x_n_minus_eta % gen_poly:

@@ -23,6 +23,7 @@ kernels on digit-by-digit arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, count, islice
 from operator import itemgetter
 from typing import Sequence
 
@@ -664,9 +665,7 @@ class Poly:
             c = f.mul(rem[-1], lead_inv)
             shift = len(rem) - 1 - dd
             quot[shift] = c
-            for i, oc in enumerate(other.coeffs):
-                if oc:
-                    rem[shift + i] = f.sub(rem[shift + i], f.mul(c, oc))
+            rem[shift:] = f.sub_scaled(rem[shift:], c, other.coeffs)
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly(f, quot), Poly(f, rem)
@@ -738,35 +737,64 @@ class Matrix:
             raise ValueError("dimension mismatch")
         f = self.field
         dot = f.dot
-        bcols = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        out = [[dot(arow, bcol) for bcol in bcols] for arow in self.entries]
+        # Slices are taken of lists, not tuples: CPython 3.11 keeps up to 2000
+        # freed 20-tuples on a free list that it never takes them back from.
+        bcols = [list(col) for col in zip(*other.entries)] if other.rows else [[]] * other.cols
+        out = []
+        for arow in self.entries:
+            s, e = _nonzero_span(arow, 0)  # entries outside [s, e) add nothing
+            xs = list(islice(arow, s, e))
+            out.append([dot(xs, bcol[s:e]) for bcol in bcols])
         return Matrix(f, out, cols=other.cols)
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns."""
+        """Reduced row echelon form and its pivot columns.
+
+        The forward pass scales each pivot row to lead with 1 and clears the
+        rows below it; back-substitution then goes from the last pivot up and
+        clears the rows above.  A row update x - g*y runs only over the
+        pivot row's nonzero span past the pivot column, because x - g*0 = x,
+        and by the time a pivot row clears the rows above it, that span
+        covers only non-pivot columns.  So a banded matrix costs in
+        proportion to its band: for the generator matrix of a code with
+        defining set T, the forward pass only scales and back-substitution
+        makes about |T| updates of at most |T| entries per pivot.  The
+        reduced form is unique, so this equals Gauss-Jordan elimination.
+        """
         f = self.field
         f._ensure_tables()
         scale, sub_scaled, inv = f.scale, f.sub_scaled, f.inv
         rows = [list(r) for r in self.entries]
+        nrows = self.rows
+
+        def clear(r: int, c: int, targets: list[int]) -> None:
+            """Zero column c of the target rows with pivot row r (rows[r][c] == 1)."""
+            s, e = _nonzero_span(rows[r], c + 1)
+            tail = rows[r][s:e]
+            for i in targets:
+                row = rows[i]
+                g = row[c]
+                row[c] = 0
+                row[s:e] = sub_scaled(row[s:e], g, tail)
+
         pivots: list[int] = []
-        r = 0
         for c in range(self.cols):
-            if r == self.rows:
+            r = len(pivots)
+            if r == nrows:
                 break
-            piv = next((i for i in range(r, self.rows) if rows[i][c]), None)
-            if piv is None:
+            hits = list(compress(range(r, nrows), map(itemgetter(c), rows[r:])))
+            if not hits:
                 continue
-            rows[r], rows[piv] = rows[piv], rows[r]
+            rows[r], rows[hits[0]] = rows[hits[0]], rows[r]
             lead = rows[r][c]
             if lead != 1:
-                rows[r][c:] = scale(inv(lead), rows[r][c:])
-            ptail = rows[r][c:]
-            for i in range(self.rows):
-                g = rows[i][c]
-                if g and i != r:
-                    rows[i][c:] = sub_scaled(rows[i][c:], g, ptail)
+                e = _nonzero_span(rows[r], c)[1]
+                rows[r][c:e] = scale(inv(lead), rows[r][c:e])
+            clear(r, c, hits[1:])  # the row swapped down to hits[0] is zero at c
             pivots.append(c)
-            r += 1
+        for r in range(len(pivots) - 1, 0, -1):
+            c = pivots[r]
+            clear(r, c, list(compress(range(r), map(itemgetter(c), rows[:r]))))
         return Matrix(f, rows, cols=self.cols), tuple(pivots)
 
     def rank(self) -> int:
@@ -775,7 +803,8 @@ class Matrix:
     def right_nullspace(self) -> Matrix:
         """Rows form a basis of {v : self . v^T = 0}."""
         red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [c for c in range(self.cols) if c not in pivot_set]
         f = self.field
         basis = []
         for fc in free:
@@ -785,3 +814,12 @@ class Matrix:
                 v[pc] = f.neg(red.entries[ri][fc])
             basis.append(v)
         return Matrix(f, basis, cols=self.cols)
+
+
+def _nonzero_span(row: Sequence[int], start: int) -> tuple[int, int]:
+    """[s, e) from the first to just past the last nonzero of row[start:];
+    (start, start) when there is none."""
+    s = next(compress(count(start), islice(row, start, None)), None)
+    if s is None:
+        return start, start
+    return s, len(row) - next(compress(count(), reversed(row)))

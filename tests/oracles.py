@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here deliberately avoids the library's own algorithms:
-determinants go through permutation expansion, divisibility through
-schoolbook long division, multiplicative orders through repeated
-multiplication, and run lengths through exhaustive window scans.
+determinants go through permutation expansion, row reduction through
+schoolbook Gauss-Jordan, generator polynomials through one linear factor
+and one root power at a time, divisibility through schoolbook long
+division, multiplicative orders through repeated multiplication, and run
+lengths through exhaustive window scans.
 """
 
 from __future__ import annotations
@@ -133,3 +135,44 @@ def dependent_subset_min_size(field, h_entries, max_size) -> int | None:
             if minor_rank(field, sub) < w:
                 return w
     return None
+
+
+def gauss_jordan_rref(field, rows):
+    """Reduced row echelon form by schoolbook Gauss-Jordan elimination: each
+    pivot row is normalised and its column cleared in every other row over
+    the whole row width, one entry at a time.  Returns (rows, pivots)."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        lead_inv = field.inv(m[r][c])
+        m[r] = [field.mul(lead_inv, v) for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                g = m[i][c]
+                m[i] = [field.sub(v, field.mul(g, w)) for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def constacyclic_generator_product(tower, elements):
+    """Coefficients of prod (x - omega^j) over the elements, multiplied one
+    linear factor at a time in the tower's top field, then descended."""
+    top = tower.top
+    coeffs = [1]
+    for j in sorted(elements):
+        root = 1
+        for _ in range(j):
+            root = top.mul(root, tower.omega)
+        # (c_0 + c_1 x + ...) (x - root)
+        shifted = [0] + coeffs
+        scaled = [top.mul(root, c) for c in coeffs] + [0]
+        coeffs = [top.sub(a, b) for a, b in zip(shifted, scaled)]
+    return [tower.embed.descend(c) for c in coeffs]

@@ -81,6 +81,17 @@ def test_code_command_corrupted_elements_exit_1(capsys):
     assert "not closed" in err
 
 
+def test_code_command_split_coset_message_and_verify_canary(capsys):
+    message = ("generator coefficients left F_5^2; defining set [13, 15] "
+               "is not closed under multiplication by q^2")
+    code, out, err = run_cli(capsys, "code", "5", "2", "26", "--elements", "13,15")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, _ = run_cli(capsys, "verify", "--q-max", "5", "--no-exact-distance")
+    assert code == 0
+    assert ("[ok] descent-canary q=5 (drop one coset element) -> rejected as expected "
+            "(negative-control)") in out.splitlines()
+
+
 def test_code_distance_cap_flag(capsys):
     code, out, _ = run_cli(capsys, "--distance-cap", "2", "--format", "json",
                            "code", "5", "3", "8", "--cosets", "1,4,7",

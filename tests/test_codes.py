@@ -6,6 +6,7 @@ from eaqmds.codes import (CoefficientDescentError, DistanceBudgetExceeded,
                           bch_delta, build_code, build_tower,
                           classical_mds_verdict, exact_distance_small)
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec, omega_set
+from eaqmds.families import FamilyId, family_instances
 from eaqmds.fields import Matrix
 
 import oracles
@@ -108,6 +109,49 @@ def test_corrupted_defining_set_fails_descent():
     broken = DefiningSet.from_elements(spec, [13, 15], check_closure=False)
     with pytest.raises(CoefficientDescentError):
         build_code(spec, broken)
+
+
+def _descent_message(q, elements):
+    return (f"generator coefficients left F_{q}^2; defining set {sorted(elements)} "
+            f"is not closed under multiplication by q^2")
+
+
+@pytest.mark.parametrize("elements", [[13, 15], [11, 13], [9, 11, 13, 15, 17, 19]])
+def test_split_coset_fails_descent_with_the_closure_message(elements):
+    # q=5, n=26 cosets: {13}, {11, 15}, {9, 17}, {7, 19}; each set splits one,
+    # last, first, or last after three whole ones
+    spec = make_spec(5, 2, 26)
+    broken = DefiningSet.from_elements(spec, elements, check_closure=False)
+    with pytest.raises(CoefficientDescentError) as exc:
+        build_code(spec, broken)
+    assert str(exc.value) == _descent_message(5, elements)
+
+
+@pytest.mark.parametrize("family,q,h,m", [
+    (FamilyId.Q2P1_NEGA, 5, None, 2),     # negacyclic
+    (FamilyId.Q2P1_CONSTA, 7, None, 2),   # r = q + 1
+    (FamilyId.TENTH_3, 13, None, 2),
+    (FamilyId.QM1_H, 11, 3, 1),
+])
+def test_family_generator_polynomials_equal_product_of_linear_factors(family, q, h, m):
+    for instance in family_instances(family, q, h):
+        assert instance.spec.m == m
+        code = build_code(instance.spec, instance.t)
+        expected = oracles.constacyclic_generator_product(build_tower(instance.spec),
+                                                          instance.t.elements)
+        assert list(code.gen_poly.coeffs) == expected, instance.label()
+
+
+@pytest.mark.parametrize("q,r,n", [(5, 2, 12), (5, 6, 4)])  # m = 1: negacyclic, r = q + 1
+def test_generator_polynomial_equals_product_of_linear_factors_m1(q, r, n):
+    spec = make_spec(q, r, n)
+    assert spec.m == 1
+    cosets = all_cosets(spec)
+    for size in (1, len(cosets) // 2, len(cosets) - 1):
+        t = DefiningSet.from_leaders(spec, [c.leader for c in cosets[:size]])
+        code = build_code(spec, t)
+        expected = oracles.constacyclic_generator_product(build_tower(spec), t.elements)
+        assert list(code.gen_poly.coeffs) == expected
 
 
 def test_empty_defining_set_rejected():

@@ -351,3 +351,70 @@ def test_rank_over_kernel_fields_matches_minor_expansion_oracle(field, data):
         a, b = data.draw(codes_of(field)), data.draw(codes_of(field))
         rows[2] = [ref.add(ref.mul(a, x), ref.mul(b, y)) for x, y in zip(rows[0], rows[1])]
     assert Matrix(field, rows).rank() == oracles.minor_rank(ref, rows)
+
+
+def _dense(field, data, rows, cols):
+    return [data.draw(st.lists(codes_of(field), min_size=cols, max_size=cols))
+            for _ in range(rows)]
+
+
+def _banded_toeplitz(field, data, rows, cols):
+    """Shifts of one band, like a generator matrix; never wider than cols."""
+    width = data.draw(st.integers(min_value=1, max_value=max(1, cols - rows + 1)))
+    band = data.draw(st.lists(codes_of(field), min_size=width, max_size=width))
+    return [([0] * i + band + [0] * cols)[:cols] for i in range(rows)]
+
+
+def _rank_deficient(field, data, rows, cols):
+    """Every row past the first two combines the first two."""
+    base = _dense(field, data, min(rows, 2), cols)
+    out = list(base)
+    while len(out) < rows:
+        a, b = data.draw(codes_of(field)), data.draw(codes_of(field))
+        out.append([field.add(field.mul(a, x), field.mul(b, y))
+                    for x, y in zip(base[0], base[-1])])
+    return out
+
+
+def _with_zero_rows(field, data, rows, cols):
+    out = _dense(field, data, rows, cols)
+    for i in data.draw(st.lists(st.integers(min_value=0, max_value=rows - 1), max_size=rows)):
+        out[i] = [0] * cols
+    return out
+
+
+MATRIX_SHAPES = [_dense, _banded_toeplitz, _rank_deficient, _with_zero_rows]
+
+
+@pytest.mark.parametrize("shape", MATRIX_SHAPES, ids=lambda s: s.__name__.strip("_"))
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@given(data=st.data())
+def test_rref_and_nullspace_match_schoolbook_gauss_jordan(field, shape, data):
+    ref = _tables_off(field)
+    rows = data.draw(st.integers(min_value=1, max_value=6))
+    cols = data.draw(st.integers(min_value=1, max_value=8))
+    entries = shape(ref, data, rows, cols)
+    m = Matrix(field, entries)
+
+    red, pivots = m.rref()
+    expected, expected_pivots = oracles.gauss_jordan_rref(ref, entries)
+    assert pivots == tuple(expected_pivots)
+    assert red.entries == tuple(tuple(r) for r in expected)
+
+    ns = m.right_nullspace()
+    assert ns.rows == cols - len(expected_pivots)
+    for v in ns.entries:
+        for row in entries:
+            acc = 0
+            for x, y in zip(row, v):
+                acc = ref.add(acc, ref.mul(x, y))
+            assert acc == 0
+
+
+def test_rank_of_a_1x1_matrix_builds_the_lookup_tables():
+    # bench/micro.py builds a field's tables with a 1x1 rank() before it
+    # times table-driven Field calls; a 1x1 reduction makes no kernel call
+    field = Field(13, 2, make_field(13, 2).modulus)
+    assert field._mul_table is None
+    Matrix(field, [[1]]).rank()
+    assert field._mul_table is not None
