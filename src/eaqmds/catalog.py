@@ -228,10 +228,14 @@ def generate_catalog(config: RunConfig) -> tuple[list[CatalogRow], list[str]]:
                 distance_budget=config.distance_budget)
     tasks: list[tuple] = []
     if config.tables:
+        # an entry listed in two tables is built once, for the first table
+        combos: set[tuple] = set()
         for table in sorted(config.tables):
             for q, h in TABLE_ENTRIES[table]:
                 family = TABLE_FAMILY[table] or table1_family(q)
-                tasks.append((family, q, h, dict(opts, include_qmds_datapoints=False), table))
+                if (family, q, h) not in combos:
+                    combos.add((family, q, h))
+                    tasks.append((family, q, h, dict(opts, include_qmds_datapoints=False), table))
     else:
         q_values = config.selected_q()
         if not q_values:
@@ -241,14 +245,7 @@ def generate_catalog(config: RunConfig) -> tuple[list[CatalogRow], list[str]]:
         tasks = [(family, q, h, opts, None)
                  for family, q, h in applicable_combos(q_values) if family in families]
 
-    rows: list[CatalogRow] = []
-    seen: set[tuple] = set()
-    for chunk in fan_out(_combo_task, tasks, config.workers):
-        for row in chunk:
-            key = tuple(row.serialized_fields().items())
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
+    rows = [row for chunk in fan_out(_combo_task, tasks, config.workers) for row in chunk]
     rows.sort(key=CatalogRow.sort_key)
 
     notes = []

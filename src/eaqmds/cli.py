@@ -13,15 +13,15 @@ import dataclasses
 import json
 import sys
 
-from .catalog import (ConfigError, RunConfig, generate_catalog, rows_for_combo,
-                      serialize, serialize_csv, serialize_json)
+from .catalog import (TABLE_ENTRIES, ConfigError, RunConfig, generate_catalog,
+                      rows_for_combo, serialize)
 from .codes import (CoefficientDescentError, DistanceBudgetExceeded,
                     InconsistentRootSystemError, build_code,
                     classical_mds_verdict, exact_distance_small)
 from .cosets import (DefiningSet, all_cosets, dual_containing, is_skew_symmetric,
                      make_spec, skew_partner, t_minus_q)
 from .eaq import EbitOracleMismatch, derive_eaq, ebits_combinatorial
-from .families import FamilyError, FamilyId, VerificationError
+from .families import FamilyId, VerificationError
 from .verify import run_verification
 
 
@@ -249,7 +249,7 @@ def cmd_family(args, cfg: RunConfig) -> int:
                           exact_distance=args.exact_distance,
                           distance_budget=cfg.distance_budget,
                           include_qmds_datapoints=not args.no_qmds_datapoints)
-    _emit(serialize(rows, cfg.format or "csv"), cfg)
+    _emit(serialize(rows, cfg.format), cfg)
     return 0
 
 
@@ -274,11 +274,10 @@ def cmd_catalog(args, cfg: RunConfig) -> int:
     cfg = dataclasses.replace(cfg, **updates)
     cfg.validate()  # before the tables default, so LOW > HIGH is not an empty range
     if cfg.tables is None and not cfg.selected_q():
-        cfg = dataclasses.replace(cfg, tables=sorted(k for k in (1, 2, 4, 5, 6)))
+        cfg = dataclasses.replace(cfg, tables=sorted(TABLE_ENTRIES))
     rows, notes = generate_catalog(cfg)
-    fmt = cfg.format or "csv"
-    _emit(serialize_csv(rows, notes) if fmt == "csv" else serialize_json(rows), cfg)
-    if notes and fmt != "csv":
+    _emit(serialize(rows, cfg.format, notes), cfg)
+    if notes and cfg.format != "csv":
         for note in notes:
             print(f"note: {note}", file=sys.stderr)
     return 0
@@ -316,15 +315,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         return _COMMANDS[args.command](args, cfg)
-    except (ConfigError, FamilyError, ValueError) as exc:
-        if isinstance(exc, (CoefficientDescentError, InconsistentRootSystemError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (VerificationError, EbitOracleMismatch, DistanceBudgetExceeded) as exc:
+    # the two code-construction errors are ValueErrors, so they come first
+    except (CoefficientDescentError, InconsistentRootSystemError, VerificationError,
+            EbitOracleMismatch, DistanceBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # ConfigError, FamilyError and other bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

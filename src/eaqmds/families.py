@@ -19,7 +19,7 @@ from .codes import (DEFAULT_DISTANCE_BUDGET, bch_delta, build_code,
 from .cosets import CodeSpec, DefiningSet, make_spec
 from .eaq import (VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK, EaqParams,
                   ebits_rank_oracle, singleton_equality)
-from .fields import factorize, is_prime
+from .fields import factorize
 
 
 class FamilyId(Enum):
@@ -52,10 +52,7 @@ class VerificationError(RuntimeError):
 
 
 def _require_odd_prime_power(q: int) -> None:
-    if q % 2 == 0 or q < 3:
-        raise FamilyError(f"q={q} must be an odd prime power")
-    facts = factorize(q)
-    if len(facts) != 1 or not is_prime(next(iter(facts))):
+    if q % 2 == 0 or q < 3 or len(factorize(q)) != 1:
         raise FamilyError(f"q={q} must be an odd prime power")
 
 
@@ -129,14 +126,10 @@ class FamilyInstance:
         return f"{self.family.value} q={self.q}{h} k={self.k}"
 
 
-def family_defining_set(family: FamilyId, q: int, h: int | None = None,
-                        k: int = 0) -> FamilyInstance:
-    """The instance at range index k, with its predicted |T_ss|."""
+def defining_set_at(family: FamilyId, q: int, h: int | None, k: int) -> DefiningSet:
+    """The construction's defining set at index k, whether or not k lies in
+    the proved range."""
     spec = family_spec(family, q, h)
-    lo, hi = k_range(family, q, h)
-    if not lo <= k <= hi:
-        raise FamilyError(f"k={k} outside the proved range [{lo}, {hi}] "
-                          f"for {family.value} q={q}")
     n = spec.n
     if family is FamilyId.Q2P1_NEGA:
         leaders = [n // 2 + 2 * i for i in range(k + 1)]
@@ -146,8 +139,18 @@ def family_defining_set(family: FamilyId, q: int, h: int | None = None,
         leaders = [n + 2 * i for i in range(k + 1)]
     else:
         leaders = [1 + h * i for i in range((h - 3) * (q + 1) // (2 * h), k + 1)]
-    t = DefiningSet.from_leaders(spec, leaders)
-    return FamilyInstance(family=family, q=q, h=h, k=k, spec=spec, t=t,
+    return DefiningSet.from_leaders(spec, leaders)
+
+
+def family_defining_set(family: FamilyId, q: int, h: int | None = None,
+                        k: int = 0) -> FamilyInstance:
+    """The instance at range index k, with its predicted |T_ss|."""
+    lo, hi = k_range(family, q, h)
+    if not lo <= k <= hi:
+        raise FamilyError(f"k={k} outside the proved range [{lo}, {hi}] "
+                          f"for {family.value} q={q}")
+    t = defining_set_at(family, q, h, k)
+    return FamilyInstance(family=family, q=q, h=h, k=k, spec=t.spec, t=t,
                           predicted_tss=predicted_tss_at(family, q, h, k))
 
 

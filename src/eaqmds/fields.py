@@ -7,6 +7,11 @@ canonical primitive element is likewise the first element of full
 multiplicative order under the same ordering.  These conventions make every
 element encoding and every derived object bit-reproducible across runs.
 
+The module keeps one implementation of each piece of arithmetic, and the
+field tower is fixed with it: the modulus search runs Rabin's test in the
+ring F_p[x]/(f) that `Field` computes in (see `_is_irreducible`), and
+`Embedding` finds its descent map with `Matrix.rref` over F_p.
+
 Elements are encoded as integers in [0, p^l): the base-p digits of the code
 are the coordinates with respect to the power basis of the modulus, and
 `Field` methods operate directly on these integer codes.
@@ -32,18 +37,7 @@ _TABLE_MAX_ORDER = 1024
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -76,108 +70,17 @@ def prime_power_split(q: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Polynomial arithmetic over the prime field on raw digit lists, used only
-# to search for the canonical modulus.  Inputs are coefficient lists,
-# constant term first; the leading coefficient of a divisor must be a unit.
-# ----------------------------------------------------------------------
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pmod(p: int, a: Sequence[int], f: Sequence[int]) -> list[int]:
-    r = list(a)
-    df = len(f) - 1
-    lead_inv = pow(f[-1], p - 2, p)
-    while len(r) - 1 >= df and r:
-        c = (r[-1] * lead_inv) % p
-        shift = len(r) - 1 - df
-        for i, fc in enumerate(f):
-            r[shift + i] = (r[shift + i] - c * fc) % p
-        _ptrim(r)
-    return r
-
-
-def _ppowmod(p: int, a: Sequence[int], e: int, f: Sequence[int]) -> list[int]:
-    result = [1]
-    base = _pmod(p, a, f)
-    while e:
-        if e & 1:
-            result = _pmod(p, _pmul(p, result, base), f)
-        base = _pmod(p, _pmul(p, base, base), f)
-        e >>= 1
-    return result
-
-
-def _pgcd(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(p, a, b)
-    if a:
-        lead_inv = pow(a[-1], p - 2, p)
-        a = [(c * lead_inv) % p for c in a]
-    return a
-
-
-def _is_irreducible(p: int, f: Sequence[int]) -> bool:
-    """Rabin's irreducibility test for a monic f of degree >= 1 over F_p."""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    # x^(p^k) mod f for k = 0..d, iterating the Frobenius power
-    frob = [list(x)]
-    for _ in range(d):
-        frob.append(_ppowmod(p, frob[-1], p, f))
-    if _psub(p, frob[d], x):
-        return False
-    for t in factorize(d):
-        g = _pgcd(p, _psub(p, frob[d // t], x), f)
-        if g != [1]:
-            return False
-    return True
-
-
-def _psub(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _ptrim(out)
-
-
-def _canonical_modulus(p: int, degree: int) -> tuple[int, ...]:
-    """First irreducible monic of the given degree in coefficient-tuple order."""
-    if degree == 1:
-        return (0, 1)  # prime-field convention: modulus x
-    for enc in range(p**degree):
-        coeffs, e = [], enc
-        for _ in range(degree):
-            e, c = divmod(e, p)
-            coeffs.append(c)
-        coeffs.append(1)
-        if _is_irreducible(p, coeffs):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-# ----------------------------------------------------------------------
 # Fields
 # ----------------------------------------------------------------------
 
 class Field:
-    """The canonical field F_{p^degree} acting on integer element codes."""
+    """F_p[x]/(modulus) acting on integer element codes.
+
+    make_field builds the canonical field F_{p^degree}.  Built directly with
+    a monic modulus that is not irreducible, the digit-by-digit arithmetic
+    (add, neg, sub, mul, pow) is still that of the quotient ring, which the
+    modulus search relies on; inv, the tables and the kernels need a field.
+    """
 
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...]):
         self.p = p
@@ -225,9 +128,6 @@ class Field:
         for c in reversed(list(coeffs)):
             code = code * self.p + c % self.p
         return code
-
-    def codes(self) -> range:
-        return range(self.order)
 
     # -- arithmetic on codes ---------------------------------------------
 
@@ -301,9 +201,6 @@ class Field:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
 
     # -- conjugation (Hermitian levels) -----------------------------------
 
@@ -450,6 +347,44 @@ class Field:
             self._conj_table = [0] + [exp[log[a] * q % (n - 1)] for a in range(1, n)]
 
 
+def _is_irreducible(p: int, f: tuple[int, ...]) -> bool:
+    """Rabin's irreducibility test for a monic f of degree d >= 2 over F_p.
+
+    The test runs in the ring R = F_p[x]/(f).  Field(p, d, f) computes in R
+    for any monic f, irreducible or not, because its digit-by-digit add, mul
+    and pow only reduce by f.  f is irreducible iff x^(p^d) = x in R and,
+    for each prime t | d, u = x^(p^(d/t)) - x is a unit of R.  Once
+    x^(p^d) = x holds, f is squarefree and its irreducible factors have
+    degrees e | d, so R is a product of fields of orders p^e, and p^e - 1
+    divides p^d - 1 for each; u is then a unit iff u^(p^d - 1) = 1, which
+    needs no polynomial gcd.
+    """
+    d = len(f) - 1
+    ring = Field(p, d, f)
+    x = p  # the code of the polynomial x
+    frob = [x]  # x^(p^k) for k = 0..d
+    for _ in range(d):
+        frob.append(ring.pow(frob[-1], p))
+    if frob[d] != x:
+        return False
+    return all(ring.pow(ring.sub(frob[d // t], x), p**d - 1) == 1 for t in factorize(d))
+
+
+def _canonical_modulus(p: int, degree: int) -> tuple[int, ...]:
+    """First irreducible monic of the given degree in coefficient-tuple order."""
+    if degree == 1:
+        return (0, 1)  # prime-field convention: modulus x
+    for enc in range(p**degree):
+        low, e = [], enc
+        for _ in range(degree):
+            e, c = divmod(e, p)
+            low.append(c)
+        f = (*low, 1)
+        if _is_irreducible(p, f):
+            return f
+    raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
 @lru_cache(maxsize=None)
 def make_field(p: int, degree: int = 1) -> Field:
     """The canonical F_{p^degree}; deterministic across runs."""
@@ -472,6 +407,13 @@ class Embedding:
     Maps sum(c_i x^i) to sum(c_i rho^i) for the canonically smallest root
     rho of the source modulus inside the target.  `descend` inverts the map
     on its image and raises for elements outside the embedded subfield.
+
+    Over F_p the map is y = E z, where E is the b x a matrix whose columns
+    are the digit vectors of rho^i.  E has full column rank, so [E | I_b]
+    reduces to [I_a | T_1] over [0 | T_2]: T_1 E = I_a, and the rows of T_2
+    span the vectors that vanish on the image.  descend multiplies y by the
+    right block T, whose first a entries are then z and whose other b - a
+    entries are all zero exactly when y lies in the image.
     """
 
     def __init__(self, src: Field, dst: Field, root: int):
@@ -482,7 +424,11 @@ class Embedding:
         for _ in range(src.degree - 1):
             pows.append(dst.mul(pows[-1], root))
         self._pows = pows
-        self._solver = self._build_solver()
+        a, b = src.degree, dst.degree
+        cols = [dst.decode(x) for x in pows]
+        aug = [[col[i] for col in cols] + [int(i == k) for k in range(b)] for i in range(b)]
+        reduced = Matrix(make_field(src.p), aug).rref()[0]
+        self._transform = [row[a:] for row in reduced.entries]
 
     def __call__(self, code: int) -> int:
         dst = self.dst
@@ -492,36 +438,11 @@ class Embedding:
                 out = dst.add(out, dst.mul(c, rho_i))
         return out
 
-    def _build_solver(self) -> tuple[list[list[int]], list[int]]:
-        # Row-reduce [E | I_b] over F_p, where E's columns are the digit
-        # vectors of rho^i.  E has full column rank, so the pivot columns
-        # are exactly 0..a-1 in order.
-        p = self.src.p
-        a, b = self.src.degree, self.dst.degree
-        cols = [self.dst.decode(x) for x in self._pows]
-        aug = [[cols[j][i] for j in range(a)] + [int(i == k) for k in range(b)]
-               for i in range(b)]
-        row = 0
-        for col in range(a):
-            piv = next(i for i in range(row, b) if aug[i][col])
-            aug[row], aug[piv] = aug[piv], aug[row]
-            f = pow(aug[row][col], p - 2, p)
-            aug[row] = [(f * v) % p for v in aug[row]]
-            for i in range(b):
-                if i != row and aug[i][col]:
-                    g = aug[i][col]
-                    aug[i] = [(v - g * w) % p for v, w in zip(aug[i], aug[row])]
-            row += 1
-        transform = [r[a:] for r in aug]
-        return transform, list(range(a))
-
     def descend(self, code: int) -> int:
         """Preimage of a target code, or ValueError when not in the image."""
-        p = self.src.p
-        a, b = self.src.degree, self.dst.degree
+        p, a = self.src.p, self.src.degree
         y = self.dst.decode(code)
-        transform, _ = self._solver
-        z = [sum(t * yv for t, yv in zip(trow, y)) % p for trow in transform]
+        z = [sum(t * yv for t, yv in zip(trow, y)) % p for trow in self._transform]
         if any(z[a:]):
             raise ValueError(f"element {code} of {self.dst!r} is not in the {self.src!r} subfield")
         return self.src.encode(z[:a])
@@ -596,9 +517,6 @@ class Poly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -697,14 +615,6 @@ class Matrix:
         self.rows = len(rows)
         self.cols = cols
         self.entries = tuple(rows)
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> Matrix:
-        return cls(field, [(0,) * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> Matrix:
-        return cls(field, [tuple(int(i == j) for j in range(n)) for i in range(n)], cols=n)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix) and other.field is self.field

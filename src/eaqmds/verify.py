@@ -18,8 +18,8 @@ from .codes import DEFAULT_DISTANCE_BUDGET, CoefficientDescentError, build_code
 from .cosets import DefiningSet, make_spec
 from .eaq import VERIFIED_RANK
 from .families import (FamilyId, FamilyInstance, VerificationError,
-                       applicable_combos, family_defining_set, family_instances,
-                       family_spec, fan_out, instance_params, k_range,
+                       applicable_combos, defining_set_at, family_defining_set,
+                       family_instances, fan_out, instance_params, k_range,
                        odd_prime_powers, tss_threshold)
 
 
@@ -93,27 +93,21 @@ def _beyond_range_notes(combos: list[tuple[FamilyId, int, int | None]]) -> list[
     """Recompute the ranges where the published statements disagree."""
     notes = []
     for family, q, h in combos:
-        spec = family_spec(family, q, h)
+        lo, hi = k_range(family, q, h)
         if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA):
             # one step past the stated cap k = (3q-3)/2
-            k_beyond = (3 * q - 1) // 2
-            step = 2 if family is FamilyId.Q2P1_NEGA else q + 1
-            leaders = [spec.n // 2 + step * i for i in range(k_beyond + 1)]
-            t = DefiningSet.from_leaders(spec, leaders)
+            t = defining_set_at(family, q, h, hi + 1)
             notes.append(
                 f"{family.value} q={q}: |T_ss|=4 holds for (q+1)/2 <= k <= (3q-3)/2; "
                 f"at k=(3q-1)/2 the computed |T_ss| is {len(t.t_ss)}")
         elif family in (FamilyId.TENTH_3, FamilyId.TENTH_7):
-            _, hi = k_range(family, q, h)
-            leaders = [spec.n + 2 * i for i in range(hi + 2)]
-            t = DefiningSet.from_leaders(spec, leaders)
+            t = defining_set_at(family, q, h, hi + 1)
             d_max = 2 * hi + 2
             notes.append(
                 f"{family.value} q={q}: one-ebit range ends at d={d_max} "
                 f"(k={hi}); at k={hi + 1} the computed |T_ss| is {len(t.t_ss)}")
         else:
             threshold = tss_threshold(family, q, h)
-            lo, _ = k_range(family, q, h)
             onset = next(k for k in range(lo, q - 1)
                          if len(family_defining_set(family, q, h, k).t.t_ss) == 1)
             d_onset = onset - lo + 2

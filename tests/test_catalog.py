@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from eaqmds import codes
+from eaqmds import catalog, codes
 from eaqmds.catalog import (CatalogRow, ConfigError, RunConfig, TABLE_ENTRIES,
                             generate_catalog, rows_for_combo, serialize_csv,
                             serialize_json, table1_family)
@@ -89,6 +89,21 @@ def test_q19_appears_once_with_consta_family():
     assert len(q19) == len({r.d for r in q19})
     assert all(r.family == "Q2P1_CONSTA" for r in q19)
     assert sorted(r.d for r in q19) == list(range(22, 57, 2))
+
+
+def test_an_entry_in_two_tables_is_built_once(monkeypatch):
+    # Q2P1_CONSTA q=19 is listed in tables 1 and 2
+    calls = []
+    original = catalog.rows_for_combo
+
+    def counted(family, q, h, **kwargs):
+        calls.append((family, q, h, kwargs["source_table"]))
+        return original(family, q, h, **kwargs)
+
+    monkeypatch.setattr(catalog, "rows_for_combo", counted)
+    generate_catalog(RunConfig(tables=[1, 2]))
+    assert len(calls) == 11
+    assert [c for c in calls if c[1] == 19] == [(FamilyId.Q2P1_CONSTA, 19, None, 1)]
 
 
 def test_csv_and_json_hold_identical_rows():

@@ -5,9 +5,10 @@ from eaqmds.cosets import (DefiningSet, coset, forms_skew_pair,
                            is_skew_symmetric, skew_partner)
 from eaqmds.eaq import singleton_equality
 from eaqmds.families import (FamilyError, FamilyId, VerificationError,
-                             family_defining_set, family_instances, family_spec,
-                             instance_params, k_range, predicted_tss_at,
+                             defining_set_at, family_defining_set, family_instances,
+                             family_spec, instance_params, k_range, predicted_tss_at,
                              tss_threshold)
+from eaqmds.verify import _beyond_range_notes
 
 NEGA = FamilyId.Q2P1_NEGA
 CONSTA = FamilyId.Q2P1_CONSTA
@@ -244,6 +245,7 @@ def test_tss_is_eight_one_step_past_the_cap():
         leaders = [spec.n // 2 + step * i for i in range(k_beyond + 1)]
         t = DefiningSet.from_leaders(spec, leaders)
         assert len(t.t_ss) == 8
+        assert defining_set_at(family, q, None, k_beyond).elements == t.elements
 
 
 def test_tenth_one_ebit_range_is_maximal():
@@ -258,6 +260,25 @@ def test_tenth_one_ebit_range_is_maximal():
     assert hi7 == 4
     t7_beyond = DefiningSet.from_leaders(spec7, [spec7.n + 2 * i for i in range(hi7 + 2)])
     assert len(t7_beyond.t_ss) != 1
+    assert defining_set_at(T3, 13, None, hi + 1).elements == t_beyond.elements
+    assert defining_set_at(T7, 17, None, hi7 + 1).elements == t7_beyond.elements
+
+
+def test_verify_beyond_range_notes_are_pinned():
+    # the verify pins in test_cli stop at q = 7, below every TENTH and QM1_H
+    # note; these lines were taken before the notes shared defining_set_at
+    combos = [(NEGA, 13, None), (CONSTA, 11, None), (T3, 13, None), (T7, 17, None),
+              (QM1, 19, 5)]
+    assert _beyond_range_notes(combos) == [
+        "Q2P1_NEGA q=13: |T_ss|=4 holds for (q+1)/2 <= k <= (3q-3)/2; "
+        "at k=(3q-1)/2 the computed |T_ss| is 8",
+        "Q2P1_CONSTA q=11: |T_ss|=4 holds for (q+1)/2 <= k <= (3q-3)/2; "
+        "at k=(3q-1)/2 the computed |T_ss| is 8",
+        "TENTH_3 q=13: one-ebit range ends at d=8 (k=3); at k=4 the computed |T_ss| is 5",
+        "TENTH_7 q=17: one-ebit range ends at d=10 (k=4); at k=5 the computed |T_ss| is 5",
+        "QM1_H q=19 h=5: first k with |T_ss|=1 is 7 (threshold 7), so the one-ebit "
+        "range starts at d=(q+1)/h+1=5",
+    ]
 
 
 def test_qm1_one_ebit_onset_matches_lower_bound():

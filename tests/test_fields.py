@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from eaqmds.fields import (_TABLE_MAX_ORDER, Field, Matrix, Poly, extend, make_field,
-                           prime_power_split)
+from eaqmds.fields import (_TABLE_MAX_ORDER, Field, Matrix, Poly, _is_irreducible, extend,
+                           is_prime, make_field, prime_power_split)
 
 import oracles
 
@@ -49,9 +50,65 @@ def test_modulus_matches_exhaustive_scan(p, l):
     assert oracles.irreducible_by_trial_division(p, field.modulus)
 
 
+@pytest.mark.parametrize("p,d", [(2, d) for d in range(2, 7)] + [(3, d) for d in range(2, 7)]
+                         + [(5, d) for d in range(2, 5)])
+def test_rabin_test_equals_trial_division_on_every_monic(p, d):
+    for low in itertools.product(range(p), repeat=d):
+        f = (*low, 1)
+        assert _is_irreducible(p, f) == oracles.irreducible_by_trial_division(p, f), f
+
+
+def test_only_the_unit_condition_rejects_a_product_of_divisor_degrees():
+    # x (x^2+x+1) (x^3+x+1) = x^6 + x^5 + x over F_2: its factor degrees 1, 2
+    # and 3 all divide 6, so x^(2^6) = x holds in F_2[x]/(f), and only the
+    # unit condition rejects f: x^(2^3) - x is zero on the factor x
+    f = (0, 1, 0, 0, 0, 1, 1)
+    ring = Field(2, 6, f)
+    x = 2
+    assert ring.pow(x, 2**6) == x
+    assert ring.pow(ring.sub(ring.pow(x, 2**3), x), 2**6 - 1) != 1
+    assert not _is_irreducible(2, f)
+    assert not oracles.irreducible_by_trial_division(2, f)
+
+
+# make_field(p, d).modulus for every (p, d) that the towers of
+# `verify --q-max 13` and of tables 1, 2, 4, 5 and 6 reach, as computed by
+# the gcd-based Rabin test on raw coefficient lists that preceded the
+# ring-based one
+TOWER_MODULI = {
+    (3, 1): (0, 1), (3, 4): (2, 1, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 1): (0, 1), (5, 2): (2, 0, 1), (5, 4): (2, 0, 0, 0, 1),
+    (5, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (7, 1): (0, 1), (7, 2): (1, 0, 1), (7, 4): (1, 1, 0, 0, 1),
+    (11, 1): (0, 1), (11, 2): (1, 0, 1), (11, 4): (2, 1, 0, 0, 1),
+    (13, 1): (0, 1), (13, 2): (2, 0, 1), (13, 4): (2, 0, 0, 0, 1),
+    (17, 1): (0, 1), (17, 2): (3, 0, 1), (17, 4): (3, 0, 0, 0, 1),
+    (19, 1): (0, 1), (19, 2): (1, 0, 1), (19, 4): (8, 1, 0, 0, 1),
+    (23, 1): (0, 1), (23, 2): (1, 0, 1), (23, 4): (2, 1, 0, 0, 1),
+    (29, 1): (0, 1), (29, 2): (2, 0, 1), (29, 4): (2, 0, 0, 0, 1),
+    (31, 1): (0, 1), (31, 2): (1, 0, 1), (31, 4): (1, 1, 0, 0, 1),
+    (37, 1): (0, 1), (37, 2): (2, 0, 1), (37, 4): (2, 0, 0, 0, 1),
+    (41, 1): (0, 1), (41, 2): (3, 0, 1),
+    (43, 1): (0, 1), (43, 2): (1, 0, 1), (43, 4): (3, 1, 0, 0, 1),
+    (47, 1): (0, 1), (47, 2): (1, 0, 1), (47, 4): (5, 1, 0, 0, 1),
+    (53, 1): (0, 1), (53, 2): (2, 0, 1), (53, 4): (2, 0, 0, 0, 1),
+}
+
+
+def test_tower_moduli_are_pinned():
+    assert {pd: make_field(*pd).modulus for pd in TOWER_MODULI} == TOWER_MODULI
+
+
+def test_is_prime_small_values():
+    assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
 def test_make_field_rejects_bad_input():
-    with pytest.raises(ValueError):
-        make_field(6)
+    for p in (0, 1, 6, 9):
+        with pytest.raises(ValueError):
+            make_field(p)
     with pytest.raises(ValueError):
         make_field(5, 0)
     with pytest.raises(ValueError):
@@ -101,7 +158,8 @@ def test_field_axioms_random_triples(field):
 
 @given(a=codes_of(F27), b=codes_of(F27))
 def test_frobenius_is_ring_homomorphism(a, b):
-    frob = F27.frobenius
+    def frob(c):
+        return F27.pow(c, F27.p)
     assert frob(F27.add(a, b)) == F27.add(frob(a), frob(b))
     assert frob(F27.mul(a, b)) == F27.mul(frob(a), frob(b))
 
@@ -130,9 +188,9 @@ def test_field_code_operators():
 
 def test_conj_fixed_points_and_involution():
     assert F25.conj(0) == 0 and F25.conj(1) == 1
-    assert all(F25.conj(F25.conj(a)) == a for a in F25.codes())
-    assert all(F25.conj(a) == F25.pow(a, 5) for a in F25.codes())
-    assert sum(1 for a in F25.codes() if F25.conj(a) == a) == 5
+    assert all(F25.conj(F25.conj(a)) == a for a in range(F25.order))
+    assert all(F25.conj(a) == F25.pow(a, 5) for a in range(F25.order))
+    assert sum(1 for a in range(F25.order) if F25.conj(a) == a) == 5
 
 
 def test_conj_rejected_on_odd_degree():
@@ -179,10 +237,24 @@ def test_descend_inverts_embedding_and_rejects_outsiders():
         emb.descend(outside)
 
 
+@pytest.mark.parametrize("base,degree", [(F7, 2), (make_field(3, 4), 2)], ids=repr)
+def test_descent_round_trip_and_rejection_over_the_whole_top_field(base, degree):
+    # a prime-field base, and F_{3^4} inside F_{3^8}
+    top, emb = extend(base, degree)
+    image = {emb(a): a for a in range(base.order)}
+    assert len(image) == base.order
+    for y in range(top.order):
+        if y in image:
+            assert emb.descend(y) == image[y]
+        else:
+            with pytest.raises(ValueError):
+                emb.descend(y)
+
+
 def test_embedding_commutes_with_frobenius_tower():
     top, emb = extend(F25, 2)
     for a in (3, 7, 19, 24):
-        assert emb(F25.frobenius(a)) == top.frobenius(emb(a))
+        assert emb(F25.pow(a, F25.p)) == top.pow(emb(a), top.p)
 
 
 def test_extend_budget():
@@ -224,13 +296,13 @@ def test_zero_poly_conventions():
 # ---------------------------------------------------------------------------
 
 def test_identity_rank_and_empty_nullspace():
-    m = Matrix.identity(F25, 3)
+    m = Matrix(F25, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert m.rank() == 3
     assert m.right_nullspace().rows == 0
 
 
 def test_zero_matrix_rank_and_full_nullspace():
-    z = Matrix.zeros(F25, 2, 4)
+    z = Matrix(F25, [[0, 0, 0, 0], [0, 0, 0, 0]])
     assert z.rank() == 0
     ns = z.right_nullspace()
     assert ns.rows == 4 and ns.rank() == 4
