@@ -3,6 +3,7 @@
 The published parameter tables are reproduced row-for-row: each table is a
 list of (q, h) entries expanded into one catalog row per admissible
 distance, and each row is the checked output of families.instance_params.
+A q or family selection filters the table entries too.
 Output ordering is deterministic (family, q, h, d ascending) and
 serialization re-checks the Singleton equality of every MDS row.
 """
@@ -226,24 +227,23 @@ def generate_catalog(config: RunConfig) -> tuple[list[CatalogRow], list[str]]:
     opts = dict(rank_oracle=config.rank_oracle,
                 exact_distance=config.exact_distance,
                 distance_budget=config.distance_budget)
-    tasks: list[tuple] = []
+    combos: dict[tuple, int | None] = {}  # (family, q, h) -> source table
     if config.tables:
         # an entry listed in two tables is built once, for the first table
-        combos: set[tuple] = set()
         for table in sorted(config.tables):
             for q, h in TABLE_ENTRIES[table]:
-                family = TABLE_FAMILY[table] or table1_family(q)
-                if (family, q, h) not in combos:
-                    combos.add((family, q, h))
-                    tasks.append((family, q, h, dict(opts, include_qmds_datapoints=False), table))
+                combos.setdefault((TABLE_FAMILY[table] or table1_family(q), q, h), table)
+        opts["include_qmds_datapoints"] = False
     else:
         q_values = config.selected_q()
         if not q_values:
             raise ConfigError("no q values selected: set tables, q_list, or q_range")
-        families = config.family_filter()
+        combos = dict.fromkeys(applicable_combos(q_values))
         opts["include_qmds_datapoints"] = config.include_qmds_datapoints
-        tasks = [(family, q, h, opts, None)
-                 for family, q, h in applicable_combos(q_values) if family in families]
+    # one selection for both modes; an unset q or family selection keeps all
+    qs, families = set(config.selected_q()), config.family_filter()
+    tasks = [(family, q, h, opts, table) for (family, q, h), table in combos.items()
+             if family in families and (not qs or q in qs)]
 
     rows = [row for chunk in fan_out(_combo_task, tasks, config.workers) for row in chunk]
     rows.sort(key=CatalogRow.sort_key)

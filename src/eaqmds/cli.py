@@ -96,10 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tables", default=None,
                    help="comma-separated table ids from {1,2,4,5,6}")
     p.add_argument("--families", default=None,
-                   help="comma-separated family names (non-table mode)")
+                   help="comma-separated family names; also filters --tables entries")
     p.add_argument("--q", dest="q_list", default=None,
-                   help="comma-separated q values (non-table mode)")
-    p.add_argument("--q-range", default=None, help="LOW:HIGH range of q values")
+                   help="comma-separated q values; also filters --tables entries")
+    p.add_argument("--q-range", default=None,
+                   help="LOW:HIGH range of q values; also filters --tables entries")
     p.add_argument("--rank-oracle", action="store_true")
     p.add_argument("--exact-distance", action="store_true")
 
@@ -224,7 +225,8 @@ def cmd_code(args, cfg: RunConfig) -> int:
         d = exact_distance_small(code, cap=cfg.distance_cap,
                                  budget=cfg.distance_budget)
         payload["exact_distance"] = d if d is not None else "exceeds-cap"
-        payload["classical_mds"] = classical_mds_verdict(code, budget=cfg.distance_budget)
+        payload["classical_mds"] = classical_mds_verdict(code, budget=cfg.distance_budget,
+                                                         distance=d)
     if cfg.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", cfg)
         return 0

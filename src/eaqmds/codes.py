@@ -246,12 +246,13 @@ DEGENERATE = "degenerate"
 
 
 def classical_mds_verdict(code: ConstacyclicCode,
-                          budget: int = DEFAULT_DISTANCE_BUDGET) -> str:
+                          budget: int = DEFAULT_DISTANCE_BUDGET,
+                          distance: int | None = None) -> str:
     """MDS status with the certificate that settled it.
 
     The BCH bound alone certifies MDS when it reaches n - k + 1; otherwise
-    the exact-distance oracle decides.  Dimension-0 and dimension-n codes
-    get an explicit degenerate verdict.
+    the minimum `distance` decides, searched for unless the caller found it.
+    Dimension-0 and dimension-n codes get an explicit degenerate verdict.
     """
     n, k = code.n, code.dim
     if k == 0 or k == n:
@@ -259,5 +260,6 @@ def classical_mds_verdict(code: ConstacyclicCode,
     target = n - k + 1
     if code.bch_delta >= target:
         return MDS_BY_BCH
-    d = exact_distance_small(code, cap=target, budget=budget)
-    return MDS_BY_EXACT if d == target else NOT_MDS
+    if distance is None:
+        distance = exact_distance_small(code, cap=target, budget=budget)
+    return MDS_BY_EXACT if distance == target else NOT_MDS

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .fields import prime_power_split
 
@@ -80,9 +80,6 @@ class CyclotomicCoset:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
 
 
 def coset(spec: CodeSpec, s: int) -> CyclotomicCoset:
@@ -185,9 +182,6 @@ class DefiningSet:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def cosets(self) -> list[CyclotomicCoset]:
-        return [coset(self.spec, s) for s in self.leaders]
 
 
 def t_minus_q(t: DefiningSet) -> frozenset[int]:

@@ -10,7 +10,7 @@ element encoding and every derived object bit-reproducible across runs.
 The module keeps one implementation of each piece of arithmetic, and the
 field tower is fixed with it: the modulus search runs Rabin's test in the
 ring F_p[x]/(f) that `Field` computes in (see `_is_irreducible`), and
-`Embedding` finds its descent map with `Matrix.rref` over F_p.
+`Embedding` tabulates its map once, so that descent is a dictionary lookup.
 
 Elements are encoded as integers in [0, p^l): the base-p digits of the code
 are the coordinates with respect to the power basis of the modulus, and
@@ -135,8 +135,6 @@ class Field:
         if self._add_table is not None:
             return self._add_table[a * self.order + b]
         p = self.p
-        if self.degree == 1:
-            return (a + b) % p
         out, mult = 0, 1
         for _ in range(self.degree):
             a, ca = divmod(a, p)
@@ -149,8 +147,6 @@ class Field:
         if self._neg_table is not None:
             return self._neg_table[a]
         p = self.p
-        if self.degree == 1:
-            return (-a) % p
         out, mult = 0, 1
         for _ in range(self.degree):
             a, c = divmod(a, p)
@@ -165,8 +161,6 @@ class Field:
         if self._mul_table is not None:
             return self._mul_table[a * self.order + b]
         p = self.p
-        if self.degree == 1:
-            return (a * b) % p
         if a == 0 or b == 0:
             return 0
         da, db = self.decode(a), self.decode(b)
@@ -205,22 +199,17 @@ class Field:
     # -- conjugation (Hermitian levels) -----------------------------------
 
     @property
-    def is_quadratic_level(self) -> bool:
-        """True when F has a subfield index 2, i.e. order is q^2 for q = p^(degree/2)."""
-        return self.degree % 2 == 0
-
-    @property
     def q_level(self) -> int:
-        if not self.is_quadratic_level:
+        """q for the field of order q^2; errors on odd-degree fields."""
+        if self.degree % 2:
             raise ValueError(f"{self!r} is not a quadratic extension: no conjugation")
         return self.p ** (self.degree // 2)
 
     def conj(self, a: int) -> int:
         """x -> x^q for the field of order q^2; errors on odd-degree fields."""
-        q = self.q_level
-        if self._conj_table is not None:
+        if self._conj_table is not None:  # built only for even degree
             return self._conj_table[a]
-        return self.pow(a, q)
+        return self.pow(a, self.q_level)
 
     # -- multiplicative structure -----------------------------------------
 
@@ -405,47 +394,36 @@ class Embedding:
     """Injective ring homomorphism F_{p^a} -> F_{p^b} (a | b).
 
     Maps sum(c_i x^i) to sum(c_i rho^i) for the canonically smallest root
-    rho of the source modulus inside the target.  `descend` inverts the map
-    on its image and raises for elements outside the embedded subfield.
-
-    Over F_p the map is y = E z, where E is the b x a matrix whose columns
-    are the digit vectors of rho^i.  E has full column rank, so [E | I_b]
-    reduces to [I_a | T_1] over [0 | T_2]: T_1 E = I_a, and the rows of T_2
-    span the vectors that vanish on the image.  descend multiplies y by the
-    right block T, whose first a entries are then z and whose other b - a
-    entries are all zero exactly when y lies in the image.
+    rho of the source modulus inside the target.  The map is tabulated once,
+    with its inverse on the image: `descend` is one lookup, and raises for
+    elements outside the embedded subfield.
     """
 
     def __init__(self, src: Field, dst: Field, root: int):
         self.src = src
         self.dst = dst
         self.root = root
-        pows = [1]
-        for _ in range(src.degree - 1):
-            pows.append(dst.mul(pows[-1], root))
-        self._pows = pows
-        a, b = src.degree, dst.degree
-        cols = [dst.decode(x) for x in pows]
-        aug = [[col[i] for col in cols] + [int(i == k) for k in range(b)] for i in range(b)]
-        reduced = Matrix(make_field(src.p), aug).rref()[0]
-        self._transform = [row[a:] for row in reduced.entries]
+        # the map is additive: a = d*p^i + low maps to the image of a - p^i plus rho^i
+        image = [0]
+        rho_i = 1
+        w = 1  # p^i, the place value of a's top digit
+        for a in range(1, src.order):
+            if a == w * src.p:
+                w = a
+                rho_i = dst.mul(rho_i, root)
+            image.append(dst.add(image[a - w], rho_i))
+        self._image = image
+        self._preimage = {y: a for a, y in enumerate(image)}
 
     def __call__(self, code: int) -> int:
-        dst = self.dst
-        out = 0
-        for c, rho_i in zip(self.src.decode(code), self._pows):
-            if c:
-                out = dst.add(out, dst.mul(c, rho_i))
-        return out
+        return self._image[code]
 
     def descend(self, code: int) -> int:
         """Preimage of a target code, or ValueError when not in the image."""
-        p, a = self.src.p, self.src.degree
-        y = self.dst.decode(code)
-        z = [sum(t * yv for t, yv in zip(trow, y)) % p for trow in self._transform]
-        if any(z[a:]):
+        a = self._preimage.get(code)
+        if a is None:
             raise ValueError(f"element {code} of {self.dst!r} is not in the {self.src!r} subfield")
-        return self.src.encode(z[:a])
+        return a
 
 
 @lru_cache(maxsize=None)
@@ -454,21 +432,15 @@ def extend(base: Field, degree: int) -> tuple[Field, Embedding]:
     if degree < 1:
         raise ValueError(f"extension degree must be >= 1, got {degree}")
     top = make_field(base.p, base.degree * degree)
-    if base.degree == 1:
-        return top, Embedding(base, top, 0)
     # Roots of the base modulus live in the unique subfield copy of the
     # base's order, generated by gamma^((|top|-1)/(|base|-1)).
     gamma = top.primitive_code()
     step = (top.order - 1) // (base.order - 1)
     zeta = top.pow(gamma, step)
-    roots = []
-    candidate = 1
-    for _ in range(base.order - 1):
-        if _eval_in(top, base.modulus, candidate) == 0:
-            roots.append(candidate)
-        candidate = top.mul(candidate, zeta)
-    if _eval_in(top, base.modulus, 0) == 0:
-        roots.append(0)
+    subfield = [0, 1]
+    for _ in range(base.order - 2):
+        subfield.append(top.mul(subfield[-1], zeta))
+    roots = [x for x in subfield if _eval_in(top, base.modulus, x) == 0]
     if len(roots) != base.degree:
         raise AssertionError("modulus root count mismatch in subfield")  # unreachable
     return top, Embedding(base, top, min(roots))
@@ -525,9 +497,6 @@ class Poly:
         return (isinstance(other, Poly) and other.field is self.field
                 and other.coeffs == self.coeffs)
 
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.coeffs))
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Poly(0)"
@@ -545,16 +514,6 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = f.add(out[i], c)
-        return Poly(f, out)
-
-    def __sub__(self, other: Poly) -> Poly:
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else 0
-            y = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(f.sub(x, y))
         return Poly(f, out)
 
     def __mul__(self, other: Poly) -> Poly:
@@ -619,9 +578,6 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix) and other.field is self.field
                 and other.cols == self.cols and other.entries == self.entries)
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"

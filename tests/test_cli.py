@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import eaqmds
+from eaqmds import cli, codes
 from eaqmds.cli import main
+from eaqmds.codes import exact_distance_small
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +94,50 @@ def test_code_command_split_coset_message_and_verify_canary(capsys):
             "(negative-control)") in out.splitlines()
 
 
+# gen_poly_coeffs is the one output that shows the subfield descent map;
+# digests taken before descent became a table lookup
+@pytest.mark.parametrize("spec,digest", [
+    ("3 4 10 --cosets 1", "9ea9cc6e9e89205844a85c666dc7cc9e34702b05c17396d58725131f00b4185c"),
+    ("5 2 26 --cosets 13,15,17,19",
+     "24dbbe8dbfb3d2af1fd556b43d429422dfc2b40e5a6fd8e1709d7f82c9c29860"),
+    ("7 8 50 --cosets 1,9", "6a7c0ce2035c12dec40d3287e30dbe8cf49a647cc81889f90fba574a489269cd"),
+    ("9 2 82 --cosets 1,3", "5a9a411df582d14a3b7daa3874c1a313c6d62a7c041b3acb657dbe1c7d6e47d9"),
+    ("11 12 122 --cosets 1,13",
+     "9b7d15258f211741a7dcb9ad6c6db34bc3235390b4622bd42d90d19ad8a238e9"),
+    ("13 2 17 --cosets 1", "cf2fc8e3948d2ea2bd83ae2d06f9f4bca1158fe9a6c54794591ba79e08449c9f"),
+    ("17 2 29 --cosets 1", "e7f052c255ee48e4f00c3f59d014779bc4b19c8e2e186e0ae07f5a858e59c67e"),
+], ids=lambda v: v.split()[0] if " " in v else None)
+def test_code_json_bytes_are_pinned(capsys, spec, digest):
+    code, out, _ = run_cli(capsys, "--format", "json", "code", *spec.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,searches,digest", [
+    (["code", "7", "8", "50", "--cosets", "1,9", "--exact-distance"], 1,
+     "56f94dea1f4a5d5dd8d45577f3021c3774cf230385a0b0f147559b2550f8e822"),
+    (["code", "5", "2", "26", "--cosets", "1,3", "--exact-distance"], 1,
+     "13019e81a731976fc2100977008561f11730060dc4017d0306a9759e1ecfda6e"),
+    # a cap below n - k + 1 = 5 leaves the distance open for the verdict
+    (["--distance-cap", "2", "code", "7", "8", "50", "--cosets", "1,9", "--exact-distance"], 2,
+     "b764a6acf6ff6f577d7ca0c3f8a85cff3980395a85706d14c51198ab956bb58a"),
+], ids=["q7", "q5", "q7-capped"])
+def test_code_exact_distance_searches_once_unless_capped(capsys, monkeypatch, argv,
+                                                         searches, digest):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("cap"))
+        return exact_distance_small(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_distance_small", counted)
+    monkeypatch.setattr(codes, "exact_distance_small", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == searches
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_code_distance_cap_flag(capsys):
     code, out, _ = run_cli(capsys, "--distance-cap", "2", "--format", "json",
                            "code", "5", "3", "8", "--cosets", "1,4,7",
@@ -159,6 +205,22 @@ def test_catalog_empty_family_filter(capsys):
     code, out, _ = run_cli(capsys, "catalog", "--families", "TENTH_7", "--q", "13")
     assert code == 0
     assert out.strip() == "family,q,h,n,k,d,c,mds,verified"
+
+
+def test_catalog_tables_filtered_by_q_and_family(capsys):
+    code, out, _ = run_cli(capsys, "catalog", "--tables", "4", "--q", "13")
+    assert code == 0
+    rows = [l for l in out.splitlines()[1:] if not l.startswith("#")]
+    assert rows and {l.split(",")[1] for l in rows} == {"13"}
+    _, every, _ = run_cli(capsys, "catalog", "--tables", "4")
+    assert [l for l in every.splitlines() if l.startswith("TENTH_3,13,")] == rows
+    code, out, _ = run_cli(capsys, "catalog", "--tables", "4", "--families", "QM1_H")
+    assert code == 0
+    assert out == "family,q,h,n,k,d,c,mds,verified\n"
+    code, out, _ = run_cli(capsys, "catalog", "--tables", "4,6", "--q-range", "11:17",
+                           "--families", "qm1_h")
+    assert code == 0
+    assert {l.split(",")[1] for l in out.splitlines()[1:]} == {"11", "13", "17"}
 
 
 def test_catalog_config_file_with_flag_override(tmp_path, capsys):

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from eaqmds import codes, fields
 from eaqmds.codes import (CoefficientDescentError, DistanceBudgetExceeded,
                           bch_delta, build_code, build_tower,
                           classical_mds_verdict, exact_distance_small)
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec, omega_set
-from eaqmds.families import FamilyId, family_instances
-from eaqmds.fields import Matrix
+from eaqmds.families import (FamilyId, applicable_combos, family_instances, family_spec,
+                             odd_prime_powers)
+from eaqmds.fields import Matrix, make_field
 
 import oracles
 
@@ -32,6 +34,25 @@ def test_tower_omega_and_eta_orders():
         assert tower.top.element_order(tower.omega) == spec.rn
         assert tower.q2.element_order(tower.eta) == spec.r
         assert tower.embed.descend(tower.top.pow(tower.omega, spec.n)) == tower.eta
+
+
+def test_towers_request_no_prime_field(monkeypatch):
+    # every tower of `verify --q-max 9`, built past the lru_caches
+    requests = []
+
+    def spy(p, degree=1):
+        requests.append((p, degree))
+        return make_field(p, degree)
+
+    monkeypatch.setattr(fields, "make_field", spy)
+    monkeypatch.setattr(codes, "make_field", spy)
+    monkeypatch.setattr(codes, "extend", fields.extend.__wrapped__)
+    specs = {family_spec(*combo) for combo in applicable_combos(odd_prime_powers(9))}
+    specs.add(make_spec(5, 2, 26))  # the descent canary
+    for spec in specs:
+        build_tower.__wrapped__(spec)
+    assert len(specs) > 1 and requests
+    assert [pd for pd in requests if pd[1] == 1] == []
 
 
 def test_tower_top_field_degree():

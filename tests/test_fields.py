@@ -196,6 +196,9 @@ def test_conj_fixed_points_and_involution():
 def test_conj_rejected_on_odd_degree():
     with pytest.raises(ValueError):
         F27.conj(1)
+    Matrix(F27, [[1]]).rank()  # builds the lookup tables, which have no conj table
+    with pytest.raises(ValueError):
+        F27.conj(1)
     with pytest.raises(ValueError):
         F5.conj(2)
 
@@ -207,6 +210,7 @@ def test_conj_rejected_on_odd_degree():
 def test_extend_prime_field_embeds_constants():
     top, emb = extend(F5, 2)
     assert top is F25
+    assert emb.root == 0  # the root of the prime field's modulus x
     assert [emb(a) for a in range(5)] == [0, 1, 2, 3, 4]
 
 
