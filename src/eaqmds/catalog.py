@@ -131,14 +131,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> RunConfig:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_config_file(path))
 
     def selected_q(self) -> list[int]:
         qs: set[int] = set(self.q_list or [])
@@ -194,6 +187,19 @@ def _check_key_type(key: str, value: object) -> None:
                     "pair": f"a [low, high] pair of {many}"}[shape]
         null = " or null" if nullable else ""
         raise ConfigError(f"config key {key!r} must be {expected}{null}, got {value!r}")
+
+
+def read_config_file(path: str) -> dict:
+    """The keys a config file sets, checked on their own as a RunConfig."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
+    RunConfig.from_dict(data)
+    return data
 
 
 def table1_family(q: int) -> FamilyId:

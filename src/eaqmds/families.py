@@ -9,6 +9,7 @@ the verification level they need.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -242,10 +243,13 @@ def odd_prime_powers(limit: int) -> list[int]:
 def fan_out(fn: Callable, tasks: list, workers: int) -> list:
     """[fn(task) for task in tasks], over a process pool when workers > 1.
 
-    fn and the tasks are pickled for the workers, so fn must be a
-    module-level function.
+    The pool starts no more processes than there are tasks or CPUs, since
+    a forked pool starts all of them at the first submit.  fn and the
+    tasks are pickled for the workers, so fn must be a module-level
+    function.
     """
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]

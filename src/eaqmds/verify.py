@@ -121,7 +121,7 @@ def _beyond_range_notes(combos: list[tuple[FamilyId, int, int | None]]) -> list[
 def run_verification(q_max: int = 13, families: list[FamilyId] | None = None,
                      exact_distance: bool = True,
                      distance_budget: int = DEFAULT_DISTANCE_BUDGET,
-                     workers: int = 1, with_notes: bool = True) -> VerifyReport:
+                     workers: int = 1) -> VerifyReport:
     """Exercise every applicable family instance with q <= q_max.
 
     Raises ConfigError when no instance is in scope, since the descent
@@ -139,6 +139,5 @@ def run_verification(q_max: int = 13, families: list[FamilyId] | None = None,
     for chunk in fan_out(_combo_reports, tasks, workers):
         report.instances.extend(chunk)
     report.instances.append(_descent_canary())
-    if with_notes:
-        report.notes = _beyond_range_notes(combos)
+    report.notes = _beyond_range_notes(combos)
     return report

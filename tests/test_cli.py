@@ -138,6 +138,11 @@ def test_code_exact_distance_searches_once_unless_capped(capsys, monkeypatch, ar
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_code_empty_cosets_exit_2(capsys):
+    code, out, err = run_cli(capsys, "code", "5", "3", "8", "--cosets", "")
+    assert (code, out, err) == (2, "", "error: defining set is empty\n")
+
+
 def test_code_distance_cap_flag(capsys):
     code, out, _ = run_cli(capsys, "--distance-cap", "2", "--format", "json",
                            "code", "5", "3", "8", "--cosets", "1,4,7",
@@ -281,12 +286,92 @@ def test_verify_family_filter(capsys):
     assert "[ok] QM1_H q=5 h=3" in out
 
 
+# the exact-distance sweep is verify's default; digest taken before the
+# flags and the config file became one settings namespace
+def test_verify_exact_distance_default_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--q-max", "9", "--families", "QM1_H")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "293469ae93745b682285ba9dc27f5a2a4634438e907e5b68fbc3fe38be865382")
+
+
+def test_verify_unknown_family_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--families", "QM1_H,foo")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown families ['foo']; available: ")
+
+
 def test_verify_with_no_family_instance_in_scope_exit_2(capsys):
     # the descent canary alone must not pass for a verification run
     code, out, err = run_cli(capsys, "verify", "--q-max", "3")
     assert code == 2 and out == "" and "no family instance" in err
     code, _, err = run_cli(capsys, "verify", "--q-max", "11", "--families", "TENTH_3")
     assert code == 2 and "no family instance" in err
+
+
+# ---------------------------------------------------------------------------
+# the config file and the flags are one settings namespace
+# ---------------------------------------------------------------------------
+
+# (base argv, key, file value, flag, contrary file value)
+SETTINGS = {
+    "code-rank_oracle": (["code", "5", "3", "8", "--cosets", "1,4,7"],
+                         "rank_oracle", True, ["--rank-oracle"], False),
+    "code-exact_distance": (["code", "5", "3", "8", "--cosets", "1,4,7"],
+                            "exact_distance", True, ["--exact-distance"], False),
+    "code-distance_cap": (["code", "7", "8", "50", "--cosets", "1,9", "--exact-distance"],
+                          "distance_cap", 2, ["--distance-cap", "2"], 10),
+    "family-rank_oracle": (["family", "TENTH_3", "13"],
+                           "rank_oracle", True, ["--rank-oracle"], False),
+    "family-exact_distance": (["family", "TENTH_3", "13"],
+                              "exact_distance", True, ["--exact-distance"], False),
+    "family-include_qmds_datapoints": (["family", "Q2P1_NEGA", "5"],
+                                       "include_qmds_datapoints", False,
+                                       ["--no-qmds-datapoints"], True),
+    "catalog-tables": (["catalog"], "tables", [4], ["--tables", "4"], [6]),
+    "catalog-families": (["catalog", "--q", "13"], "families", ["TENTH_3"],
+                         ["--families", "TENTH_3"], ["QM1_H"]),
+    "catalog-q_list": (["catalog", "--families", "TENTH_3"], "q_list", [13],
+                       ["--q", "13"], [23]),
+    "catalog-q_range": (["catalog", "--families", "QM1_H"], "q_range", [5, 9],
+                        ["--q-range", "5:9"], [11, 13]),
+    "catalog-rank_oracle": (["catalog", "--q", "7"], "rank_oracle", True,
+                            ["--rank-oracle"], False),
+    "catalog-exact_distance": (["catalog", "--q", "7"], "exact_distance", True,
+                               ["--exact-distance"], False),
+    "verify-families": (["verify", "--q-max", "5", "--no-exact-distance"], "families",
+                        ["QM1_H"], ["--families", "QM1_H"], ["Q2P1_NEGA"]),
+    "verify-exact_distance": (["verify", "--q-max", "9", "--families", "QM1_H"],
+                              "exact_distance", False, ["--no-exact-distance"], True),
+    "cosets-format": (["cosets", "5", "3", "8"], "format", "json", ["--format", "json"],
+                      "csv"),
+    "family-out": (["family", "QM1_H", "5", "--h", "3"], "out", "rows.csv",
+                   ["--out", "rows.csv"], "other.csv"),
+    "code-distance_budget": (["code", "5", "2", "26", "--cosets", "1,3", "--exact-distance"],
+                             "distance_budget", 10, ["--distance-budget", "10"], 10**6),
+}
+
+
+@pytest.mark.parametrize("case", SETTINGS.values(), ids=SETTINGS.keys())
+def test_config_key_matches_its_flag(tmp_path, monkeypatch, capsys, case):
+    base, key, value, flag, contrary = case
+    monkeypatch.chdir(tmp_path)
+
+    def run(config, *extra):
+        argv = list(base) + list(extra)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps({key: config}))
+            argv = ["--config", "cfg.json"] + argv
+        result = run_cli(capsys, *argv)
+        written = {p.name: p.read_text() for p in tmp_path.glob("*.csv")}
+        for p in tmp_path.glob("*.csv"):
+            p.unlink()
+        return result, written
+
+    by_flag = run(None, *flag)
+    assert by_flag != run(None)  # the key changes the run
+    assert run(value) == by_flag
+    assert run(contrary, *flag) == by_flag
 
 
 # ---------------------------------------------------------------------------

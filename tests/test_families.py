@@ -1,5 +1,6 @@
 import pytest
 
+from eaqmds import families
 from eaqmds.codes import bch_delta
 from eaqmds.cosets import (DefiningSet, coset, forms_skew_pair,
                            is_skew_symmetric, skew_partner)
@@ -293,3 +294,43 @@ def test_qm1_one_ebit_onset_matches_lower_bound():
         assert onset - lo + 2 == (q + 1) // h + 1
         if h > 3:
             assert (q + 1) // h + 1 < (q + 1) * (h - 1) // (2 * h) + 1
+
+
+# ---------------------------------------------------------------------------
+# fan-out pool size
+# ---------------------------------------------------------------------------
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers,tasks,cpus,started", [
+    (500, 6, 8, [6]),    # never more processes than tasks
+    (500, 6, 2, [2]),    # nor than CPUs
+    (2, 6, 8, [2]),
+    (4, 1, 8, []),       # one task runs in-process
+    (4, 6, 1, []),       # so does one CPU
+    (1, 6, 8, []),
+    (3, 0, 8, []),
+])
+def test_fan_out_pool_size(monkeypatch, workers, tasks, cpus, started):
+    monkeypatch.setattr(families, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "started", [])
+    monkeypatch.setattr(families.os, "cpu_count", lambda: cpus)
+    items = list(range(tasks))
+    assert families.fan_out(abs, [-i for i in items], workers) == items
+    assert _SerialPool.started == started
