@@ -9,13 +9,12 @@ from .codes import (CoefficientDescentError, ConstacyclicCode,
                     bch_delta, build_code, build_tower, classical_mds_verdict,
                     exact_distance_small)
 from .cosets import (CodeSpec, CyclotomicCoset, DefiningSet, all_cosets, coset,
-                     dual_containing, forms_skew_pair, is_skew_symmetric,
-                     make_spec, omega_set, skew_partner, t_minus_q)
-from .eaq import (EaqParams, EbitOracleMismatch, check_singleton, derive_eaq,
-                  ebits_combinatorial, ebits_rank_oracle, singleton_equality)
-from .families import (FamilyError, FamilyId, FamilyInstance, VerificationError,
-                       family_defining_set, family_instances, instance_params,
-                       k_range, tss_threshold)
+                     is_skew_symmetric, make_spec, omega_set, skew_partner,
+                     t_minus_q)
+from .eaq import EaqParams, EbitOracleMismatch, derive_eaq, ebits_rank_oracle
+from .families import (Construction, FamilyError, FamilyId, FamilyInstance,
+                       VerificationError, construction, family_defining_set,
+                       family_instances, instance_params)
 from .fields import Embedding, Field, Matrix, Poly, extend, make_field
 from .verify import VerifyReport, run_verification
 
@@ -28,13 +27,10 @@ __all__ = [
     "InconsistentRootSystemError", "bch_delta", "build_code", "build_tower",
     "classical_mds_verdict", "exact_distance_small",
     "CodeSpec", "CyclotomicCoset", "DefiningSet", "all_cosets", "coset",
-    "dual_containing", "forms_skew_pair", "is_skew_symmetric",
-    "make_spec", "omega_set", "skew_partner", "t_minus_q",
-    "EaqParams", "EbitOracleMismatch", "check_singleton", "derive_eaq",
-    "ebits_combinatorial", "ebits_rank_oracle", "singleton_equality",
-    "FamilyError", "FamilyId", "FamilyInstance", "VerificationError",
-    "family_defining_set", "family_instances",
-    "instance_params", "k_range", "tss_threshold",
+    "is_skew_symmetric", "make_spec", "omega_set", "skew_partner", "t_minus_q",
+    "EaqParams", "EbitOracleMismatch", "derive_eaq", "ebits_rank_oracle",
+    "Construction", "FamilyError", "FamilyId", "FamilyInstance", "VerificationError",
+    "construction", "family_defining_set", "family_instances", "instance_params",
     "Embedding", "Field", "Matrix", "Poly", "extend", "make_field",
     "VerifyReport", "run_verification",
     "__version__",

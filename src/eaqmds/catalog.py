@@ -129,10 +129,6 @@ class RunConfig:
             cfg.q_range = tuple(cfg.q_range)  # type: ignore[assignment]
         return cfg
 
-    @classmethod
-    def from_file(cls, path: str) -> RunConfig:
-        return cls.from_dict(read_config_file(path))
-
     def selected_q(self) -> list[int]:
         qs: set[int] = set(self.q_list or [])
         if self.q_range is not None:

@@ -21,9 +21,9 @@ from .catalog import (TABLE_ENTRIES, ConfigError, RunConfig, generate_catalog,
 from .codes import (CoefficientDescentError, DistanceBudgetExceeded,
                     InconsistentRootSystemError, build_code,
                     classical_mds_verdict, exact_distance_small)
-from .cosets import (DefiningSet, all_cosets, dual_containing, is_skew_symmetric,
-                     make_spec, skew_partner, t_minus_q)
-from .eaq import EbitOracleMismatch, derive_eaq, ebits_combinatorial
+from .cosets import (DefiningSet, all_cosets, is_skew_symmetric, make_spec,
+                     skew_partner, t_minus_q)
+from .eaq import EbitOracleMismatch, derive_eaq
 from .families import FamilyId, VerificationError
 from .verify import run_verification
 
@@ -200,15 +200,15 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
         "t_minus_q": sorted(t_minus_q(t)),
         "t_ss": sorted(t.t_ss),
         "t_sas": sorted(t.t_sas),
-        "ebits": ebits_combinatorial(t),
-        "dual_containing": dual_containing(t),
+        "ebits": len(t.t_ss),
+        "dual_containing": not t.t_ss,
     }
     lines = [f"spec: q={spec.q} r={spec.r} n={spec.n} rn={spec.rn}",
              f"T     = {payload['t']}",
              f"T^-q  = {payload['t_minus_q']}",
              f"T_ss  = {payload['t_ss']}  (|T_ss| = {payload['ebits']})",
              f"T_sas = {payload['t_sas']}",
-             f"dual-containing: {str(payload['dual_containing']).lower()}"]
+             f"dual-containing: {str(not t.t_ss).lower()}"]
     return _emit_report(payload, lines, cfg)
 
 
@@ -224,12 +224,12 @@ def cmd_code(args, cfg: RunConfig) -> int:
         "n": code.n, "dim": code.dim, "bch_delta": code.bch_delta,
         "gen_poly_coeffs": list(code.gen_poly.coeffs),
         "defining_set": sorted(t.elements),
-        "ebits_combinatorial": ebits_combinatorial(t),
+        "ebits_combinatorial": len(t.t_ss),
     }
     lines = [f"[{code.n}, {code.dim}, >={code.bch_delta}] over GF({spec.q}^2)",
              f"defining set: {payload['defining_set']}",
              f"gen poly coefficient codes: {payload['gen_poly_coeffs']}",
-             f"|T_ss| = {payload['ebits_combinatorial']}"]
+             f"|T_ss| = {len(t.t_ss)}"]
     if cfg.rank_oracle:
         e = derive_eaq(code)
         payload["eaq"] = {"n": e.n, "k": e.k, "d": e.d, "c": e.c, "mds": e.mds}

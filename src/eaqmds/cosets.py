@@ -124,15 +124,6 @@ def skew_partner(c: CyclotomicCoset) -> CyclotomicCoset:
     return coset(c.spec, minus_q(c.spec, c.leader))
 
 
-def forms_skew_pair(c1: CyclotomicCoset, c2: CyclotomicCoset) -> bool:
-    """True when the two distinct cosets are exchanged by s -> -qs."""
-    if c1.spec != c2.spec:
-        raise ValueError("cosets from different specs")
-    if c1.elements == c2.elements:
-        raise ValueError("skew pairs are formed by distinct cosets")
-    return minus_q(c1.spec, c1.leader) in c2.elements
-
-
 @dataclass(frozen=True)
 class DefiningSet:
     """A union of cyclotomic cosets with its skew decomposition.
@@ -180,15 +171,7 @@ class DefiningSet:
                 raise ValueError("element set is not a union of whole cosets")
         return cls(spec=spec, leaders=tuple(sorted(leads)), elements=elems)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def t_minus_q(t: DefiningSet) -> frozenset[int]:
     """Elementwise image {-qz mod rn : z in T}; always the same size as T."""
     return frozenset(minus_q(t.spec, s) for s in t.elements)
-
-
-def dual_containing(t: DefiningSet) -> bool:
-    """True iff the code contains its Hermitian dual, i.e. T & T^{-q} is empty."""
-    return not t.t_ss

@@ -59,20 +59,6 @@ class EaqParams:
                    mds=spec.n + c - k == 2 * (d - 1), verified=verified)
 
 
-def check_singleton(params: EaqParams) -> bool:
-    """EA-Singleton bound n + c - k >= 2(d - 1); equality is the MDS case."""
-    return params.n + params.c - params.k >= 2 * (params.d - 1)
-
-
-def singleton_equality(params: EaqParams) -> bool:
-    return params.n + params.c - params.k == 2 * (params.d - 1)
-
-
-def ebits_combinatorial(t: DefiningSet) -> int:
-    """Needed ebits as the size of T_ss = T & T^{-q}."""
-    return len(t.t_ss)
-
-
 def ebits_rank_oracle(code: ConstacyclicCode) -> int:
     """Needed ebits as rank(H H^dagger) over F_{q^2}."""
     h = code.check_matrix
@@ -82,7 +68,7 @@ def ebits_rank_oracle(code: ConstacyclicCode) -> int:
 def derive_eaq(code: ConstacyclicCode) -> EaqParams:
     """[[n, n - 2|T| + |T_ss|, d >= bch; |T_ss|]]_q with both ebit oracles run."""
     t = code.defining_set
-    c_comb = ebits_combinatorial(t)
+    c_comb = len(t.t_ss)
     c_rank = ebits_rank_oracle(code)
     if c_comb != c_rank:
         raise EbitOracleMismatch(

@@ -1,10 +1,11 @@
 """The four defining-set constructions and their parameter families.
 
-Each family fixes (r, n) as a function of q, assembles the defining set as
-an interval of cosets, and predicts |T_ss| from its threshold on the range
-index k.  instance_params is the one place an instance is checked: the
-catalog, the verification suite and the `family` command all call it, at
-the verification level they need.
+A Construction record holds one family's construction at (q, h): the spec,
+whose (r, n) the family fixes as a function of q, the defining set at range
+index k as an interval of cosets, and the threshold on k from which |T_ss|
+takes its nonzero value.  instance_params is the one place an instance is
+checked: the catalog, the verification suite and the `family` command all
+call it, at the verification level they need.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .codes import (DEFAULT_DISTANCE_BUDGET, bch_delta, build_code,
                     distance_check_feasible, exact_distance_small)
 from .cosets import CodeSpec, DefiningSet, make_spec
 from .eaq import (VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK, EaqParams,
-                  ebits_rank_oracle, singleton_equality)
+                  ebits_rank_oracle)
 from .fields import factorize
 
 
@@ -52,13 +53,9 @@ class VerificationError(RuntimeError):
     """A family instance failed one of its mandatory cross-checks."""
 
 
-def _require_odd_prime_power(q: int) -> None:
+def check_applicable(family: FamilyId, q: int, h: int | None = None) -> None:
     if q % 2 == 0 or q < 3 or len(factorize(q)) != 1:
         raise FamilyError(f"q={q} must be an odd prime power")
-
-
-def check_applicable(family: FamilyId, q: int, h: int | None = None) -> None:
-    _require_odd_prime_power(q)
     if family is FamilyId.Q2P1_NEGA:
         if q % 4 != 1 or q < 5:
             raise FamilyError(f"q={q}: negacyclic length q^2+1 needs q = 1 mod 4, q >= 5")
@@ -80,38 +77,6 @@ def check_applicable(family: FamilyId, q: int, h: int | None = None) -> None:
         raise FamilyError(f"{family.value} takes no h parameter")
 
 
-def family_spec(family: FamilyId, q: int, h: int | None = None) -> CodeSpec:
-    check_applicable(family, q, h)
-    if family is FamilyId.Q2P1_NEGA:
-        return make_spec(q, 2, q * q + 1)
-    if family is FamilyId.Q2P1_CONSTA:
-        return make_spec(q, q + 1, q * q + 1)
-    if family in (FamilyId.TENTH_3, FamilyId.TENTH_7):
-        return make_spec(q, 2, (q * q + 1) // 10)
-    return make_spec(q, h, (q * q - 1) // h)
-
-
-def k_range(family: FamilyId, q: int, h: int | None = None) -> tuple[int, int]:
-    """Inclusive range of the coset index k covered by the construction."""
-    check_applicable(family, q, h)
-    if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA):
-        return 0, (3 * q - 3) // 2
-    if family is FamilyId.TENTH_3:
-        return 0, 3 * ((q - 3) // 10)
-    if family is FamilyId.TENTH_7:
-        return 0, 3 * ((q - 7) // 10) + 1
-    return (h - 3) * (q + 1) // (2 * h), q - 2
-
-
-def tss_threshold(family: FamilyId, q: int, h: int | None = None) -> int:
-    """Smallest k at which the predicted |T_ss| jumps to its nonzero value."""
-    if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA):
-        return (q + 1) // 2
-    if family in (FamilyId.TENTH_3, FamilyId.TENTH_7):
-        return 0
-    return (h - 1) * (q + 1) // (2 * h) - 1
-
-
 @dataclass(frozen=True)
 class FamilyInstance:
     family: FamilyId
@@ -127,39 +92,65 @@ class FamilyInstance:
         return f"{self.family.value} q={self.q}{h} k={self.k}"
 
 
-def defining_set_at(family: FamilyId, q: int, h: int | None, k: int) -> DefiningSet:
-    """The construction's defining set at index k, whether or not k lies in
-    the proved range."""
-    spec = family_spec(family, q, h)
-    n = spec.n
-    if family is FamilyId.Q2P1_NEGA:
-        leaders = [n // 2 + 2 * i for i in range(k + 1)]
-    elif family is FamilyId.Q2P1_CONSTA:
-        leaders = [n // 2 + (q + 1) * i for i in range(k + 1)]
-    elif family in (FamilyId.TENTH_3, FamilyId.TENTH_7):
-        leaders = [n + 2 * i for i in range(k + 1)]
-    else:
-        leaders = [1 + h * i for i in range((h - 3) * (q + 1) // (2 * h), k + 1)]
-    return DefiningSet.from_leaders(spec, leaders)
+@dataclass(frozen=True)
+class Construction:
+    """One family's construction at (q, h).
+
+    The defining set at index k is the union of the cosets of start + r*i
+    for lo <= i <= k, with r the spec's r; the proved range is lo <= k <= hi,
+    and |T_ss| is predicted as ebits from k = threshold on and 0 below it.
+    """
+
+    family: FamilyId
+    q: int
+    h: int | None
+    spec: CodeSpec
+    start: int
+    lo: int
+    hi: int
+    threshold: int
+    ebits: int
+
+    def defining_set(self, k: int) -> DefiningSet:
+        """The defining set at index k, whether or not k lies in the proved range."""
+        leaders = [self.start + self.spec.r * i for i in range(self.lo, k + 1)]
+        return DefiningSet.from_leaders(self.spec, leaders)
+
+    def instance(self, k: int) -> FamilyInstance:
+        """The instance at range index k, with its predicted |T_ss|."""
+        if not self.lo <= k <= self.hi:
+            raise FamilyError(f"k={k} outside the proved range [{self.lo}, {self.hi}] "
+                              f"for {self.family.value} q={self.q}")
+        return FamilyInstance(family=self.family, q=self.q, h=self.h, k=k,
+                              spec=self.spec, t=self.defining_set(k),
+                              predicted_tss=self.ebits if k >= self.threshold else 0)
+
+
+def construction(family: FamilyId, q: int, h: int | None = None) -> Construction:
+    """The construction of (family, q, h); FamilyError if it is not applicable."""
+    check_applicable(family, q, h)
+    if family is FamilyId.QM1_H:
+        return Construction(family, q, h, make_spec(q, h, (q * q - 1) // h), start=1,
+                            lo=(h - 3) * (q + 1) // (2 * h), hi=q - 2,
+                            threshold=(h - 1) * (q + 1) // (2 * h) - 1, ebits=1)
+    if family in (FamilyId.TENTH_3, FamilyId.TENTH_7):
+        # q = 10m + 3 gives hi = 3m, q = 10m + 7 gives hi = 3m + 1
+        spec = make_spec(q, 2, (q * q + 1) // 10)
+        return Construction(family, q, h, spec, start=spec.n, lo=0,
+                            hi=3 * (q // 10) + (1 if family is FamilyId.TENTH_7 else 0),
+                            threshold=0, ebits=1)
+    spec = make_spec(q, 2 if family is FamilyId.Q2P1_NEGA else q + 1, q * q + 1)
+    return Construction(family, q, h, spec, start=spec.n // 2, lo=0, hi=(3 * q - 3) // 2,
+                        threshold=(q + 1) // 2, ebits=4)
+
+
+def family_spec(family: FamilyId, q: int, h: int | None = None) -> CodeSpec:
+    return construction(family, q, h).spec
 
 
 def family_defining_set(family: FamilyId, q: int, h: int | None = None,
                         k: int = 0) -> FamilyInstance:
-    """The instance at range index k, with its predicted |T_ss|."""
-    lo, hi = k_range(family, q, h)
-    if not lo <= k <= hi:
-        raise FamilyError(f"k={k} outside the proved range [{lo}, {hi}] "
-                          f"for {family.value} q={q}")
-    t = defining_set_at(family, q, h, k)
-    return FamilyInstance(family=family, q=q, h=h, k=k, spec=t.spec, t=t,
-                          predicted_tss=predicted_tss_at(family, q, h, k))
-
-
-def predicted_tss_at(family: FamilyId, q: int, h: int | None, k: int) -> int:
-    threshold = tss_threshold(family, q, h)
-    if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA):
-        return 4 if k >= threshold else 0
-    return 1 if k >= threshold else 0
+    return construction(family, q, h).instance(k)
 
 
 def instance_params(instance: FamilyInstance, *, rank_oracle: bool = False,
@@ -201,7 +192,7 @@ def instance_params(instance: FamilyInstance, *, rank_oracle: bool = False,
     if bch != size + 1:
         failures.append(f"defining set is not a single run: bch={bch}, |T|={size}")
     params = EaqParams.from_defining_set(spec, t, bch, verified)
-    if not singleton_equality(params):
+    if not params.mds:
         failures.append(f"Singleton equality fails for {params}")
     if failures:
         raise VerificationError(f"{instance.label()}: " + "; ".join(failures))
@@ -212,9 +203,9 @@ def family_instances(family: FamilyId, q: int, h: int | None = None,
                      include_qmds_datapoints: bool = True) -> list[FamilyInstance]:
     """The instances of the construction's k-range, in k order; without the
     QMDS datapoints the range starts at the |T_ss| threshold."""
-    lo, hi = k_range(family, q, h)
-    start = lo if include_qmds_datapoints else max(lo, tss_threshold(family, q, h))
-    return [family_defining_set(family, q, h, k) for k in range(start, hi + 1)]
+    c = construction(family, q, h)
+    start = c.lo if include_qmds_datapoints else max(c.lo, c.threshold)
+    return [c.instance(k) for k in range(start, c.hi + 1)]
 
 
 def applicable_combos(q_values: list[int]) -> list[tuple[FamilyId, int, int | None]]:

@@ -228,13 +228,16 @@ class Field:
         return order
 
     def primitive_code(self) -> int:
-        """Canonically smallest code of full multiplicative order."""
+        """Canonically smallest code of full multiplicative order.
+
+        a is primitive iff a^(N/t) != 1 for every prime t dividing
+        N = order - 1; a candidate is dropped at the first t that gives 1.
+        """
         if self._primitive is None:
             full = self.order - 1
-            for code in range(1, self.order):
-                if self.element_order(code) == full:
-                    self._primitive = code
-                    break
+            cofactors = [full // prime for prime in self._order_facts()]
+            self._primitive = next(code for code in range(1, self.order)
+                                   if all(self.pow(code, e) != 1 for e in cofactors))
         return self._primitive
 
     # -- row kernels: table lookups, or the per-element methods above the cap

@@ -18,9 +18,8 @@ from .codes import DEFAULT_DISTANCE_BUDGET, CoefficientDescentError, build_code
 from .cosets import DefiningSet, make_spec
 from .eaq import VERIFIED_RANK
 from .families import (FamilyId, FamilyInstance, VerificationError,
-                       applicable_combos, defining_set_at, family_defining_set,
-                       family_instances, fan_out, instance_params, k_range,
-                       odd_prime_powers, tss_threshold)
+                       applicable_combos, construction, family_instances, fan_out,
+                       instance_params, odd_prime_powers)
 
 
 @dataclass
@@ -93,28 +92,25 @@ def _beyond_range_notes(combos: list[tuple[FamilyId, int, int | None]]) -> list[
     """Recompute the ranges where the published statements disagree."""
     notes = []
     for family, q, h in combos:
-        lo, hi = k_range(family, q, h)
-        if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA):
-            # one step past the stated cap k = (3q-3)/2
-            t = defining_set_at(family, q, h, hi + 1)
-            notes.append(
-                f"{family.value} q={q}: |T_ss|=4 holds for (q+1)/2 <= k <= (3q-3)/2; "
-                f"at k=(3q-1)/2 the computed |T_ss| is {len(t.t_ss)}")
-        elif family in (FamilyId.TENTH_3, FamilyId.TENTH_7):
-            t = defining_set_at(family, q, h, hi + 1)
-            d_max = 2 * hi + 2
-            notes.append(
-                f"{family.value} q={q}: one-ebit range ends at d={d_max} "
-                f"(k={hi}); at k={hi + 1} the computed |T_ss| is {len(t.t_ss)}")
-        else:
-            threshold = tss_threshold(family, q, h)
-            onset = next(k for k in range(lo, q - 1)
-                         if len(family_defining_set(family, q, h, k).t.t_ss) == 1)
-            d_onset = onset - lo + 2
+        c = construction(family, q, h)
+        if family is FamilyId.QM1_H:
+            onset = next(k for k in range(c.lo, c.hi + 1)
+                         if len(c.defining_set(k).t_ss) == 1)
             notes.append(
                 f"{family.value} q={q} h={h}: first k with |T_ss|=1 is {onset} "
-                f"(threshold {threshold}), so the one-ebit range starts at "
-                f"d=(q+1)/h+1={d_onset}")
+                f"(threshold {c.threshold}), so the one-ebit range starts at "
+                f"d=(q+1)/h+1={onset - c.lo + 2}")
+            continue
+        # one step past the stated cap
+        beyond = len(c.defining_set(c.hi + 1).t_ss)
+        if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA):
+            notes.append(
+                f"{family.value} q={q}: |T_ss|=4 holds for (q+1)/2 <= k <= (3q-3)/2; "
+                f"at k=(3q-1)/2 the computed |T_ss| is {beyond}")
+        else:
+            notes.append(
+                f"{family.value} q={q}: one-ebit range ends at d={2 * c.hi + 2} "
+                f"(k={c.hi}); at k={c.hi + 1} the computed |T_ss| is {beyond}")
     return notes
 
 
@@ -127,6 +123,9 @@ def run_verification(q_max: int = 13, families: list[FamilyId] | None = None,
     Raises ConfigError when no instance is in scope, since the descent
     canary alone verifies no family.
     """
+    if families is not None and not families:
+        raise ConfigError(f"no family instance in scope for q <= {q_max}: "
+                          "the family selection is empty")
     combos = applicable_combos(odd_prime_powers(q_max))
     if families is not None:
         combos = [c for c in combos if c[0] in families]

@@ -10,11 +10,10 @@ from contextlib import contextmanager
 
 from eaqmds.catalog import RunConfig, generate_catalog, serialize_csv
 from eaqmds.codes import bch_delta, build_code, build_tower, exact_distance_small
-from eaqmds.cosets import (DefiningSet, all_cosets, coset, dual_containing,
-                           forms_skew_pair, is_skew_symmetric, make_spec,
-                           omega_set, skew_partner)
-from eaqmds.families import (FamilyId, applicable_combos, family_instances,
-                             odd_prime_powers, tss_threshold)
+from eaqmds.cosets import (DefiningSet, all_cosets, coset, is_skew_symmetric,
+                           make_spec, minus_q, omega_set, skew_partner)
+from eaqmds.families import (FamilyId, applicable_combos, construction,
+                             family_instances, odd_prime_powers)
 from eaqmds.verify import run_verification
 
 import oracles
@@ -87,7 +86,7 @@ def test_criterion_2_cross_oracle_ebit_equality():
         assert {8, 17, 24, 26, 40, 50, 170} <= lengths
         # threshold predictions: 0 below, 4/1 at and above the jump
         for family, q, h in combos:
-            threshold = tss_threshold(family, q, h)
+            threshold = construction(family, q, h).threshold
             nonzero = 4 if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA) else 1
             for inst in family_instances(family, q, h):
                 expected = nonzero if inst.k >= threshold else 0
@@ -148,7 +147,8 @@ def test_criterion_5_property_suites():
                 if is_skew_symmetric(c):
                     assert partner.elements == c.elements
                 else:
-                    assert forms_skew_pair(c, partner)
+                    assert partner.elements != c.elements
+                    assert minus_q(spec, c.leader) in partner.elements
             # decomposition matches the cosetwise characterization
             leaders = [c.leader for c in cosets]
             pools = [[l] for l in leaders]
@@ -162,7 +162,6 @@ def test_criterion_5_property_suites():
                     if is_skew_symmetric(c) or set(skew_partner(c).elements) <= t.elements:
                         expected.update(c.elements)
                 assert t.t_ss == frozenset(expected)
-                assert dual_containing(t) == (len(t.t_ss) == 0)
 
         # every constructed code: g | x^n - eta and G H^T = 0; exact >= bch
         rng = random.Random(99)

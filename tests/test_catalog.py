@@ -5,8 +5,8 @@ import pytest
 
 from eaqmds import catalog, codes
 from eaqmds.catalog import (CatalogRow, ConfigError, RunConfig, TABLE_ENTRIES,
-                            generate_catalog, rows_for_combo, serialize_csv,
-                            serialize_json, table1_family)
+                            generate_catalog, read_config_file, rows_for_combo,
+                            serialize_csv, serialize_json, table1_family)
 from eaqmds.codes import distance_check_feasible
 from eaqmds.families import FamilyId
 
@@ -33,14 +33,14 @@ def test_config_validation():
 def test_config_from_file_round_trip(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"tables": [4], "format": "json", "workers": 2}))
-    cfg = RunConfig.from_file(str(path))
+    cfg = RunConfig.from_dict(read_config_file(str(path)))
     assert cfg.tables == [4] and cfg.format == "json" and cfg.workers == 2
     path.write_text("not json")
     with pytest.raises(ConfigError):
-        RunConfig.from_file(str(path))
+        read_config_file(str(path))
     path.write_text(json.dumps({"bogus_key": 1}))
     with pytest.raises(ConfigError):
-        RunConfig.from_file(str(path))
+        read_config_file(str(path))
 
 
 def test_selected_q_merges_list_and_range():

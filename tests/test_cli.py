@@ -309,6 +309,22 @@ def test_verify_with_no_family_instance_in_scope_exit_2(capsys):
     assert code == 2 and "no family instance" in err
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["--families", ""], None),
+    (["--families", ","], None),
+    ([], {"families": []}),
+], ids=["empty", "comma", "config"])
+def test_verify_empty_family_selection_exit_2(tmp_path, capsys, argv, config):
+    prefix = []
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        prefix = ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(capsys, *prefix, "verify", "--q-max", "5", *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: no family instance in scope for q <= 5: "
+                   "the family selection is empty\n")
+
+
 # ---------------------------------------------------------------------------
 # the config file and the flags are one settings namespace
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from eaqmds.cosets import (DefiningSet, all_cosets, coset, dual_containing,
-                           forms_skew_pair, is_skew_symmetric, make_spec,
-                           minus_q, omega_set, skew_partner, t_minus_q)
+from eaqmds.cosets import (DefiningSet, all_cosets, coset, is_skew_symmetric,
+                           make_spec, minus_q, omega_set, skew_partner, t_minus_q)
 
 # Specs with rn <= 1000 used by the exhaustive property suites: the small
 # family settings plus assorted extra (q, r, n) combinations.
@@ -129,19 +128,11 @@ def test_skew_symmetric_examples():
 
 def test_skew_pair_examples():
     s5 = make_spec(5, 2, 26)
-    assert forms_skew_pair(coset(s5, 19), coset(s5, 9))
+    assert skew_partner(coset(s5, 19)).elements == coset(s5, 9).elements
     s7 = make_spec(7, 8, 50)
     assert coset(s7, 49).elements == (1, 49)
-    assert forms_skew_pair(coset(s7, 57), coset(s7, 49))
-    assert not forms_skew_pair(coset(s5, 13), coset(s5, 15))
-
-
-def test_skew_pair_requires_distinct_cosets_same_spec():
-    s5 = make_spec(5, 2, 26)
-    with pytest.raises(ValueError):
-        forms_skew_pair(coset(s5, 13), coset(s5, 13))
-    with pytest.raises(ValueError):
-        forms_skew_pair(coset(s5, 13), coset(make_spec(5, 3, 8), 4))
+    assert skew_partner(coset(s7, 57)).elements == coset(s7, 49).elements
+    assert skew_partner(coset(s5, 13)).elements != coset(s5, 15).elements
 
 
 def test_skew_trichotomy_partner_is_involution():
@@ -154,8 +145,10 @@ def test_skew_trichotomy_partner_is_involution():
             if is_skew_symmetric(c):
                 assert partner.elements == c.elements
             else:
-                assert forms_skew_pair(c, partner)
-                assert forms_skew_pair(partner, c)
+                # two distinct cosets, each holding the other's -q image
+                assert partner.elements != c.elements
+                assert minus_q(spec, c.leader) in partner.elements
+                assert minus_q(spec, partner.leader) in c.elements
 
 
 def test_skew_pair_condition_is_membership_for_any_element():
@@ -167,7 +160,7 @@ def test_skew_pair_condition_is_membership_for_any_element():
                 if other.elements == c.elements:
                     continue
                 expected = any(minus_q(spec, s) in other.elements for s in c.elements)
-                assert forms_skew_pair(c, other) == expected
+                assert (minus_q(spec, c.leader) in other.elements) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +198,11 @@ def test_decompose_examples():
 
 
 def test_dual_containing_examples():
+    # the code contains its Hermitian dual iff T_ss is empty
     spec = make_spec(5, 2, 26)
-    assert dual_containing(DefiningSet.from_leaders(spec, [13, 15, 17]))
-    assert not dual_containing(DefiningSet.from_leaders(spec, [13, 15, 17, 19]))
-    assert dual_containing(DefiningSet.from_leaders(spec, []))
+    assert not DefiningSet.from_leaders(spec, [13, 15, 17]).t_ss
+    assert DefiningSet.from_leaders(spec, [13, 15, 17, 19]).t_ss
+    assert not DefiningSet.from_leaders(spec, []).t_ss
 
 
 def _sampled_defining_sets(spec, rng):
@@ -235,7 +229,6 @@ def test_decompose_matches_cosetwise_characterization():
                     expected.update(c.elements)
             assert t.t_ss == frozenset(expected)
             assert t.t_sas == t.elements - t.t_ss
-            assert dual_containing(t) == (len(t.t_ss) == 0)
 
 
 def test_decomposition_parts_are_unions_of_cosets():
@@ -256,7 +249,7 @@ def test_sas_part_defines_dual_containing_set():
     for spec in specs():
         for t in _sampled_defining_sets(spec, rng):
             t_r = DefiningSet.from_elements(spec, t.t_sas)
-            assert dual_containing(t_r)
+            assert not t_r.t_ss
             assert t_r.elements <= t.elements
             t_e = DefiningSet.from_elements(spec, t.t_ss)
             assert t_e.elements <= t.elements
@@ -287,7 +280,7 @@ def test_decomposition_invariants_hold_for_arbitrary_unions(data):
 def test_dual_containment_matches_empty_intersection(data):
     spec, leaders = data
     t = DefiningSet.from_leaders(spec, leaders)
-    assert dual_containing(t) == (not (t.elements & t_minus_q(t)))
+    assert (not t.t_ss) == (not (t.elements & t_minus_q(t)))
 
 
 def test_from_elements_checks_closure_and_membership():

@@ -3,10 +3,8 @@ import random
 import pytest
 
 from eaqmds.codes import build_code
-from eaqmds.cosets import DefiningSet, dual_containing, make_spec
-from eaqmds.eaq import (EaqParams, EbitOracleMismatch, check_singleton,
-                        derive_eaq, ebits_combinatorial, ebits_rank_oracle,
-                        singleton_equality)
+from eaqmds.cosets import DefiningSet, make_spec
+from eaqmds.eaq import EaqParams, EbitOracleMismatch, derive_eaq, ebits_rank_oracle
 from eaqmds.families import FamilyId, family_defining_set, instance_params
 from eaqmds.fields import Matrix
 
@@ -28,27 +26,27 @@ def _setup(q, r, n, leaders=None, elements=None):
 
 def test_ebits_combinatorial_values():
     spec = make_spec(5, 2, 26)
-    assert ebits_combinatorial(DefiningSet.from_leaders(spec, [13, 15, 17, 19])) == 4
+    assert len(DefiningSet.from_leaders(spec, [13, 15, 17, 19]).t_ss) == 4
     spec13 = make_spec(13, 2, 17)
-    assert ebits_combinatorial(DefiningSet.from_leaders(spec13, [17, 19, 21, 23])) == 1
+    assert len(DefiningSet.from_leaders(spec13, [17, 19, 21, 23]).t_ss) == 1
     t0 = DefiningSet.from_leaders(spec, [13, 15, 17])
-    assert dual_containing(t0) and ebits_combinatorial(t0) == 0
+    assert not t0.t_ss
 
 
 def test_rank_oracle_h3():
     _, t, code = _setup(5, 3, 8, elements=[1, 4, 7])
-    assert ebits_rank_oracle(code) == 1 == ebits_combinatorial(t)
+    assert ebits_rank_oracle(code) == 1 == len(t.t_ss)
 
 
 def test_rank_oracle_negacyclic_four():
     _, t, code = _setup(5, 2, 26, leaders=[13, 15, 17, 19])
-    assert ebits_rank_oracle(code) == 4 == ebits_combinatorial(t)
+    assert ebits_rank_oracle(code) == 4 == len(t.t_ss)
 
 
 def test_rank_oracle_zero_iff_dual_containing():
     _, t, code = _setup(5, 2, 26, leaders=[13, 15, 17])
     h = code.check_matrix
-    assert dual_containing(t)
+    assert not t.t_ss
     assert (h @ h.conj_transpose()).is_zero()
     assert ebits_rank_oracle(code) == 0
 
@@ -112,7 +110,7 @@ def test_k_relation():
 
 def test_oracle_disagreement_is_hard_error(monkeypatch):
     _, _, code = _setup(5, 3, 8, elements=[1, 4, 7])
-    monkeypatch.setattr(eaq_module, "ebits_combinatorial", lambda t: 99)
+    monkeypatch.setattr(eaq_module, "ebits_rank_oracle", lambda code: 99)
     with pytest.raises(EbitOracleMismatch):
         derive_eaq(code)
 
@@ -127,13 +125,15 @@ def test_ebit_count_bounds_enforced():
 # ---------------------------------------------------------------------------
 
 def test_singleton_equalities():
-    assert singleton_equality(EaqParams(q=5, n=26, k=16, d=8, c=4, mds=True))
-    assert singleton_equality(EaqParams(q=5, n=8, k=3, d=4, c=1, mds=True))
-    assert singleton_equality(EaqParams(q=13, n=17, k=16, d=2, c=1, mds=True))
-
-
-def test_singleton_bound_vs_equality():
-    slack = EaqParams(q=5, n=26, k=16, d=7, c=4, mds=False)
-    assert check_singleton(slack) and not singleton_equality(slack)
-    violating = EaqParams(q=5, n=26, k=16, d=9, c=4, mds=False)
-    assert not check_singleton(violating)
+    # mds is the EA-Singleton equality n + c - k = 2(d - 1); one less or
+    # one more d breaks it
+    for (q, r, n), elements, d, expected in [
+            ((5, 2, 26), [7, 9, 11, 13, 15, 17, 19], 8, (26, 16, 8, 4)),
+            ((5, 3, 8), [1, 4, 7], 4, (8, 3, 4, 1)),
+            ((13, 2, 17), [17], 2, (17, 16, 2, 1))]:
+        spec = make_spec(q, r, n)
+        t = DefiningSet.from_elements(spec, elements)
+        p = EaqParams.from_defining_set(spec, t, d, "bch-only")
+        assert (p.n, p.k, p.d, p.c) == expected and p.mds
+        for off in (d - 1, d + 1):
+            assert not EaqParams.from_defining_set(spec, t, off, "bch-only").mds

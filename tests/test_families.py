@@ -1,14 +1,13 @@
+import dataclasses
+
 import pytest
 
 from eaqmds import families
 from eaqmds.codes import bch_delta
-from eaqmds.cosets import (DefiningSet, coset, forms_skew_pair,
-                           is_skew_symmetric, skew_partner)
-from eaqmds.eaq import singleton_equality
-from eaqmds.families import (FamilyError, FamilyId, VerificationError,
-                             defining_set_at, family_defining_set, family_instances,
-                             family_spec, instance_params, k_range, predicted_tss_at,
-                             tss_threshold)
+from eaqmds.cosets import DefiningSet, coset, is_skew_symmetric, skew_partner
+from eaqmds.families import (FamilyError, FamilyId, VerificationError, construction,
+                             family_defining_set, family_instances, family_spec,
+                             instance_params)
 from eaqmds.verify import _beyond_range_notes
 
 NEGA = FamilyId.Q2P1_NEGA
@@ -48,14 +47,36 @@ def test_applicability_errors():
 
 
 def test_k_out_of_range_rejected():
-    lo, hi = k_range(NEGA, 5)
-    assert (lo, hi) == (0, 6)
+    c = construction(NEGA, 5)
+    assert (c.lo, c.hi) == (0, 6)
     with pytest.raises(FamilyError):
-        family_defining_set(NEGA, 5, k=hi + 1)
-    lo, hi = k_range(QM1, 13, 7)
-    assert (lo, hi) == (4, 11)
+        family_defining_set(NEGA, 5, k=c.hi + 1)
+    c = construction(QM1, 13, 7)
+    assert (c.lo, c.hi) == (4, 11)
     with pytest.raises(FamilyError):
         family_defining_set(QM1, 13, h=7, k=3)
+
+
+def test_construction_records_match_the_stated_ranges():
+    # every record against the per-family statements: T at k is the cosets
+    # of start + r*i for lo <= i <= k, and |T_ss| jumps at the threshold
+    for family, q, h in families.applicable_combos(families.odd_prime_powers(60)):
+        c = construction(family, q, h)
+        n, r = c.spec.n, c.spec.r
+        if family in (NEGA, CONSTA):
+            stated = (n // 2, 0, (3 * q - 3) // 2, (q + 1) // 2, 4)
+            assert (n, r) == (q * q + 1, 2 if family is NEGA else q + 1)
+        elif family is T3:
+            stated = (n, 0, 3 * ((q - 3) // 10), 0, 1)
+            assert (n, r) == ((q * q + 1) // 10, 2)
+        elif family is T7:
+            stated = (n, 0, 3 * ((q - 7) // 10) + 1, 0, 1)
+            assert (n, r) == ((q * q + 1) // 10, 2)
+        else:
+            stated = (1, (h - 3) * (q + 1) // (2 * h), q - 2,
+                      (h - 1) * (q + 1) // (2 * h) - 1, 1)
+            assert (n, r) == ((q * q - 1) // h, h)
+        assert (c.start, c.lo, c.hi, c.threshold, c.ebits) == stated, (family, q, h)
 
 
 def test_family_specs():
@@ -73,7 +94,7 @@ def test_family_specs():
 def test_nega_defining_set_q5_k3():
     inst = family_defining_set(NEGA, 5, k=3)
     assert sorted(inst.t.elements) == [7, 9, 11, 13, 15, 17, 19]
-    assert inst.predicted_tss == 4 == predicted_tss_at(NEGA, 5, None, 3)
+    assert inst.predicted_tss == 4 == construction(NEGA, 5).ebits
 
 
 def test_tenth3_defining_set_q13_k3():
@@ -91,9 +112,9 @@ def test_qm1_defining_set_q5_h3_k2():
 
 def test_predicted_zero_below_threshold():
     assert family_defining_set(NEGA, 5, k=2).predicted_tss == 0
-    assert tss_threshold(NEGA, 5) == 3
+    assert construction(NEGA, 5).threshold == 3
     assert family_defining_set(QM1, 13, h=7, k=4).predicted_tss == 0
-    assert tss_threshold(QM1, 13, 7) == 5
+    assert construction(QM1, 13, 7).threshold == 5
 
 
 def test_predictions_match_computed_decomposition_everywhere():
@@ -112,7 +133,7 @@ def test_nega_skew_pair_location():
         s = spec.n // 2
         c_hi = coset(spec, s + q + 1)
         c_lo = coset(spec, s - q + 1)
-        assert forms_skew_pair(c_hi, c_lo)
+        assert skew_partner(c_hi).elements == c_lo.elements != c_hi.elements
 
 
 def test_consta_skew_pair_location():
@@ -121,7 +142,7 @@ def test_consta_skew_pair_location():
         s = spec.n // 2
         c_hi = coset(spec, s + (q + 1) // 2 * (q + 1))
         c_lo = coset(spec, s + (q - 1) // 2 * (q + 1))
-        assert forms_skew_pair(c_hi, c_lo)
+        assert skew_partner(c_hi).elements == c_lo.elements != c_hi.elements
         assert 1 in c_lo.elements  # the partner coset is the one containing 1
 
 
@@ -143,8 +164,7 @@ def test_no_other_skew_structure_inside_full_range_set():
     # apart from the predicted pair / skew-symmetric coset, nothing in the
     # largest defining set is skew-symmetric or matched inside T
     for family, q, h in SMALL_COMBOS:
-        _, hi = k_range(family, q, h)
-        inst = family_defining_set(family, q, h, hi)
+        inst = family_defining_set(family, q, h, construction(family, q, h).hi)
         expected_ss = inst.t.t_ss
         for leader in inst.t.leaders:
             c = coset(inst.spec, leader)
@@ -171,7 +191,7 @@ def test_instance_params_singleton_equality():
     for family, q, h in SMALL_COMBOS:
         for inst in family_instances(family, q, h):
             p = instance_params(inst)
-            assert singleton_equality(p) and p.mds
+            assert p.n + p.c - p.k == 2 * (p.d - 1) and p.mds
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +226,7 @@ def test_enumerate_with_qmds_datapoints():
     assert [(r.d, r.c) for r in rows] == \
         [(2, 0), (4, 0), (6, 0), (8, 4), (10, 4), (12, 4), (14, 4)]
     for r in rows:
-        assert singleton_equality(r)
+        assert r.n + r.c - r.k == 2 * (r.d - 1)
 
 
 def test_enumerate_with_rank_oracle_sets_agreement():
@@ -221,13 +241,11 @@ def test_enumerate_consta_matches_published_shape():
     assert [(r.d, r.k) for r in rows] == [(d, 56 - 2 * d) for d in range(10, 21, 2)]
 
 
-def test_verification_error_names_instance(monkeypatch):
-    import eaqmds.families as fam
+def test_verification_error_names_instance():
     inst = family_defining_set(NEGA, 5, k=3)
-    monkeypatch.setattr(fam, "predicted_tss_at", lambda *a: 3)
-    bad = fam.family_defining_set(NEGA, 5, k=3)
+    bad = dataclasses.replace(inst, predicted_tss=3)
     with pytest.raises(VerificationError) as err:
-        fam.instance_params(bad)
+        instance_params(bad)
     assert "Q2P1_NEGA q=5" in str(err.value)
     assert inst.predicted_tss == 4
 
@@ -246,28 +264,28 @@ def test_tss_is_eight_one_step_past_the_cap():
         leaders = [spec.n // 2 + step * i for i in range(k_beyond + 1)]
         t = DefiningSet.from_leaders(spec, leaders)
         assert len(t.t_ss) == 8
-        assert defining_set_at(family, q, None, k_beyond).elements == t.elements
+        assert construction(family, q).defining_set(k_beyond).elements == t.elements
 
 
 def test_tenth_one_ebit_range_is_maximal():
     # q = 13: the one-ebit window covers k <= 3m (d <= 6m+2) and breaks at 3m+1
     spec = family_spec(T3, 13)
-    _, hi = k_range(T3, 13)
+    hi = construction(T3, 13).hi
     assert hi == 3
     t_beyond = DefiningSet.from_leaders(spec, [spec.n + 2 * i for i in range(hi + 2)])
     assert len(t_beyond.t_ss) == 5
     spec7 = family_spec(T7, 17)
-    _, hi7 = k_range(T7, 17)
+    hi7 = construction(T7, 17).hi
     assert hi7 == 4
     t7_beyond = DefiningSet.from_leaders(spec7, [spec7.n + 2 * i for i in range(hi7 + 2)])
     assert len(t7_beyond.t_ss) != 1
-    assert defining_set_at(T3, 13, None, hi + 1).elements == t_beyond.elements
-    assert defining_set_at(T7, 17, None, hi7 + 1).elements == t7_beyond.elements
+    assert construction(T3, 13).defining_set(hi + 1).elements == t_beyond.elements
+    assert construction(T7, 17).defining_set(hi7 + 1).elements == t7_beyond.elements
 
 
 def test_verify_beyond_range_notes_are_pinned():
     # the verify pins in test_cli stop at q = 7, below every TENTH and QM1_H
-    # note; these lines were taken before the notes shared defining_set_at
+    # note; these lines were taken before the notes read the Construction record
     combos = [(NEGA, 13, None), (CONSTA, 11, None), (T3, 13, None), (T7, 17, None),
               (QM1, 19, 5)]
     assert _beyond_range_notes(combos) == [
@@ -286,8 +304,8 @@ def test_qm1_one_ebit_onset_matches_lower_bound():
     # the first k with |T_ss| = 1 sits exactly at the threshold, making the
     # smallest one-ebit distance (q+1)/h + 1 rather than (q+1)(h-1)/(2h) + 1
     for q, h in [(11, 3), (9, 5), (13, 7), (19, 5)]:
-        lo, _ = k_range(QM1, q, h)
-        threshold = tss_threshold(QM1, q, h)
+        c = construction(QM1, q, h)
+        lo, threshold = c.lo, c.threshold
         onset = next(k for k in range(lo, q - 1)
                      if len(family_defining_set(QM1, q, h, k).t.t_ss) == 1)
         assert onset == threshold
