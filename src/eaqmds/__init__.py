@@ -12,9 +12,8 @@ from .cosets import (CodeSpec, CyclotomicCoset, DefiningSet, all_cosets, coset,
                      is_skew_symmetric, make_spec, omega_set, skew_partner,
                      t_minus_q)
 from .eaq import EaqParams, EbitOracleMismatch, derive_eaq, ebits_rank_oracle
-from .families import (Construction, FamilyError, FamilyId, FamilyInstance,
-                       VerificationError, construction, family_defining_set,
-                       family_instances, instance_params)
+from .families import (Construction, FamilyError, FamilyId, VerificationError,
+                       construction, instance_params)
 from .fields import Embedding, Field, Matrix, Poly, extend, make_field
 from .verify import VerifyReport, run_verification
 
@@ -29,8 +28,8 @@ __all__ = [
     "CodeSpec", "CyclotomicCoset", "DefiningSet", "all_cosets", "coset",
     "is_skew_symmetric", "make_spec", "omega_set", "skew_partner", "t_minus_q",
     "EaqParams", "EbitOracleMismatch", "derive_eaq", "ebits_rank_oracle",
-    "Construction", "FamilyError", "FamilyId", "FamilyInstance", "VerificationError",
-    "construction", "family_defining_set", "family_instances", "instance_params",
+    "Construction", "FamilyError", "FamilyId", "VerificationError",
+    "construction", "instance_params",
     "Embedding", "Field", "Matrix", "Poly", "extend", "make_field",
     "VerifyReport", "run_verification",
     "__version__",

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .codes import DEFAULT_DISTANCE_BUDGET
 from .eaq import VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK  # noqa: F401 (row schema)
-from .families import (FAMILY_ORDER, FamilyId, applicable_combos,
-                       family_instances, fan_out, instance_params)
+from .families import (FAMILY_ORDER, FamilyId, applicable_combos, construction,
+                       fan_out, instance_params)
 
 CSV_HEADER = "family,q,h,n,k,d,c,mds,verified"
 
@@ -207,9 +207,10 @@ def rows_for_combo(family: FamilyId, q: int, h: int | None, *,
                    distance_budget: int = DEFAULT_DISTANCE_BUDGET,
                    include_qmds_datapoints: bool = False,
                    source_table: int | None = None) -> list[CatalogRow]:
+    c = construction(family, q, h)
     rows = []
-    for instance in family_instances(family, q, h, include_qmds_datapoints):
-        p = instance_params(instance, rank_oracle=rank_oracle,
+    for k in c.indices(include_qmds_datapoints):
+        p = instance_params(c, k, rank_oracle=rank_oracle,
                             exact_distance=exact_distance,
                             distance_budget=distance_budget)
         rows.append(CatalogRow(family=family.value, q=q, h=h, n=p.n, k=p.k,

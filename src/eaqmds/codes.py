@@ -80,7 +80,6 @@ class ConstacyclicCode:
     gen_poly: Poly
     dim: int
     bch_delta: int
-    gen_matrix: Matrix
     check_matrix: Matrix
 
     @property
@@ -132,35 +131,26 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
         raise AssertionError("generator and parity-check matrices not orthogonal")
 
     return ConstacyclicCode(spec=spec, defining_set=t, gen_poly=gen_poly, dim=k,
-                            bch_delta=bch_delta(t), gen_matrix=gen_matrix,
-                            check_matrix=check_matrix)
+                            bch_delta=bch_delta(t), check_matrix=check_matrix)
 
 
 def bch_delta(t: DefiningSet) -> int:
     """BCH lower bound: 1 + the longest run of consecutive classes in T.
 
     Classes 1 + ri are consecutive in the index i, with wrap-around
-    modulo n allowed.
+    modulo n allowed.  A run starts at an index whose predecessor is absent.
     """
-    spec = t.spec
-    idx = sorted((((s - 1) % spec.rn) // spec.r) % spec.n for s in t.elements)
-    if not idx:
-        return 1
-    if len(idx) == spec.n:
-        return spec.n + 1
-    best = run = 1
-    for prev, cur in zip(idx, idx[1:]):
-        run = run + 1 if cur == prev + 1 else 1
-        best = max(best, run)
-    # wrap: a run ending at n-1 continues at 0
-    if idx[0] == 0 and idx[-1] == spec.n - 1:
-        head = 1
-        while head < len(idx) and idx[head] == head:
-            head += 1
-        tail = 1
-        while tail < len(idx) and idx[-1 - tail] == spec.n - 1 - tail:
-            tail += 1
-        best = max(best, head + tail)
+    n, r, rn = t.spec.n, t.spec.r, t.spec.rn
+    idx = {(((s - 1) % rn) // r) % n for s in t.elements}
+    if len(idx) == n:
+        return n + 1
+    best = 0
+    for i in idx:
+        if (i - 1) % n not in idx:
+            run = 1
+            while (i + run) % n in idx:
+                run += 1
+            best = max(best, run)
     return best + 1
 
 

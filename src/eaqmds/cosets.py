@@ -78,9 +78,6 @@ class CyclotomicCoset:
     leader: int
     elements: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def coset(spec: CodeSpec, s: int) -> CyclotomicCoset:
     rn = spec.rn

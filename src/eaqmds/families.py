@@ -3,9 +3,10 @@
 A Construction record holds one family's construction at (q, h): the spec,
 whose (r, n) the family fixes as a function of q, the defining set at range
 index k as an interval of cosets, and the threshold on k from which |T_ss|
-takes its nonzero value.  instance_params is the one place an instance is
-checked: the catalog, the verification suite and the `family` command all
-call it, at the verification level they need.
+takes its nonzero value.  An instance is a record and an index k in its
+proved range.  instance_params is the one place an instance is checked:
+the catalog, the verification suite and the `family` command all call it,
+at the verification level they need.
 """
 
 from __future__ import annotations
@@ -53,45 +54,6 @@ class VerificationError(RuntimeError):
     """A family instance failed one of its mandatory cross-checks."""
 
 
-def check_applicable(family: FamilyId, q: int, h: int | None = None) -> None:
-    if q % 2 == 0 or q < 3 or len(factorize(q)) != 1:
-        raise FamilyError(f"q={q} must be an odd prime power")
-    if family is FamilyId.Q2P1_NEGA:
-        if q % 4 != 1 or q < 5:
-            raise FamilyError(f"q={q}: negacyclic length q^2+1 needs q = 1 mod 4, q >= 5")
-    elif family is FamilyId.Q2P1_CONSTA:
-        if q % 4 != 3 or q < 7:
-            raise FamilyError(f"q={q}: constacyclic length q^2+1 needs q = 3 mod 4, q >= 7")
-    elif family is FamilyId.TENTH_3:
-        if q % 10 != 3 or q < 13:
-            raise FamilyError(f"q={q}: length (q^2+1)/10 needs q = 10m+3 with m >= 1")
-    elif family is FamilyId.TENTH_7:
-        if q % 10 != 7 or q < 17:
-            raise FamilyError(f"q={q}: length (q^2+1)/10 needs q = 10m+7 with m >= 1")
-    elif family is FamilyId.QM1_H:
-        if h not in (3, 5, 7):
-            raise FamilyError(f"h={h} must be one of 3, 5, 7")
-        if (q + 1) % h != 0:
-            raise FamilyError(f"h={h} must divide q+1={q + 1}")
-    if family is not FamilyId.QM1_H and h is not None:
-        raise FamilyError(f"{family.value} takes no h parameter")
-
-
-@dataclass(frozen=True)
-class FamilyInstance:
-    family: FamilyId
-    q: int
-    h: int | None
-    k: int
-    spec: CodeSpec
-    t: DefiningSet
-    predicted_tss: int
-
-    def label(self) -> str:
-        h = f" h={self.h}" if self.h is not None else ""
-        return f"{self.family.value} q={self.q}{h} k={self.k}"
-
-
 @dataclass(frozen=True)
 class Construction:
     """One family's construction at (q, h).
@@ -116,23 +78,46 @@ class Construction:
         leaders = [self.start + self.spec.r * i for i in range(self.lo, k + 1)]
         return DefiningSet.from_leaders(self.spec, leaders)
 
-    def instance(self, k: int) -> FamilyInstance:
-        """The instance at range index k, with its predicted |T_ss|."""
-        if not self.lo <= k <= self.hi:
-            raise FamilyError(f"k={k} outside the proved range [{self.lo}, {self.hi}] "
-                              f"for {self.family.value} q={self.q}")
-        return FamilyInstance(family=self.family, q=self.q, h=self.h, k=k,
-                              spec=self.spec, t=self.defining_set(k),
-                              predicted_tss=self.ebits if k >= self.threshold else 0)
+    def predicted_tss(self, k: int) -> int:
+        return self.ebits if k >= self.threshold else 0
+
+    def indices(self, include_qmds_datapoints: bool = True) -> range:
+        """The proved k-range; without the QMDS datapoints (the zero-ebit
+        rows) it starts at the threshold."""
+        start = self.lo if include_qmds_datapoints else max(self.lo, self.threshold)
+        return range(start, self.hi + 1)
+
+    def label(self, k: int) -> str:
+        h = f" h={self.h}" if self.h is not None else ""
+        return f"{self.family.value} q={self.q}{h} k={k}"
 
 
 def construction(family: FamilyId, q: int, h: int | None = None) -> Construction:
-    """The construction of (family, q, h); FamilyError if it is not applicable."""
-    check_applicable(family, q, h)
+    """The construction of (family, q, h); FamilyError if it is not applicable.
+
+    The first failing check names the error: q an odd prime power, then the
+    family's own condition on q (or h), then h given to a family without one.
+    """
+    if q % 2 == 0 or q < 3 or len(factorize(q)) != 1:
+        raise FamilyError(f"q={q} must be an odd prime power")
     if family is FamilyId.QM1_H:
+        if h not in (3, 5, 7):
+            raise FamilyError(f"h={h} must be one of 3, 5, 7")
+        if (q + 1) % h != 0:
+            raise FamilyError(f"h={h} must divide q+1={q + 1}")
         return Construction(family, q, h, make_spec(q, h, (q * q - 1) // h), start=1,
                             lo=(h - 3) * (q + 1) // (2 * h), hi=q - 2,
                             threshold=(h - 1) * (q + 1) // (2 * h) - 1, ebits=1)
+    if family is FamilyId.Q2P1_NEGA and (q % 4 != 1 or q < 5):
+        raise FamilyError(f"q={q}: negacyclic length q^2+1 needs q = 1 mod 4, q >= 5")
+    if family is FamilyId.Q2P1_CONSTA and (q % 4 != 3 or q < 7):
+        raise FamilyError(f"q={q}: constacyclic length q^2+1 needs q = 3 mod 4, q >= 7")
+    if family is FamilyId.TENTH_3 and (q % 10 != 3 or q < 13):
+        raise FamilyError(f"q={q}: length (q^2+1)/10 needs q = 10m+3 with m >= 1")
+    if family is FamilyId.TENTH_7 and (q % 10 != 7 or q < 17):
+        raise FamilyError(f"q={q}: length (q^2+1)/10 needs q = 10m+7 with m >= 1")
+    if h is not None:
+        raise FamilyError(f"{family.value} takes no h parameter")
     if family in (FamilyId.TENTH_3, FamilyId.TENTH_7):
         # q = 10m + 3 gives hi = 3m, q = 10m + 7 gives hi = 3m + 1
         spec = make_spec(q, 2, (q * q + 1) // 10)
@@ -148,64 +133,52 @@ def family_spec(family: FamilyId, q: int, h: int | None = None) -> CodeSpec:
     return construction(family, q, h).spec
 
 
-def family_defining_set(family: FamilyId, q: int, h: int | None = None,
-                        k: int = 0) -> FamilyInstance:
-    return construction(family, q, h).instance(k)
-
-
-def instance_params(instance: FamilyInstance, *, rank_oracle: bool = False,
+def instance_params(c: Construction, k: int, *, rank_oracle: bool = False,
                     exact_distance: bool = False,
                     distance_budget: int = DEFAULT_DISTANCE_BUDGET) -> EaqParams:
-    """Verified EA parameters for one instance.
+    """Verified EA parameters for the instance of construction c at index k.
 
-    Always checks that the computed |T_ss| matches the family prediction,
-    that the defining set is a single consecutive run so the BCH bound is
-    |T| + 1, and that the Singleton equality holds.  rank_oracle adds
+    Raises FamilyError when k lies outside the proved range.  Always checks
+    that the computed |T_ss| matches the family prediction, that the
+    defining set is a single consecutive run so the BCH bound is |T| + 1,
+    and that the Singleton equality holds.  rank_oracle adds
     rank(H H^dagger) = |T_ss|; exact_distance adds the exhaustive distance
     sweep wherever distance_check_feasible allows it.  The code is built at
     most once, and only for those two checks.  Every failure is collected
     into one VerificationError that names the instance; the returned params
     carry the strongest verification level that ran.
     """
-    spec, t = instance.spec, instance.t
-    size, c = len(t.elements), len(t.t_ss)
+    if not c.lo <= k <= c.hi:
+        raise FamilyError(f"k={k} outside the proved range [{c.lo}, {c.hi}] "
+                          f"for {c.family.value} q={c.q}")
+    spec, t = c.spec, c.defining_set(k)
+    size, tss = len(t.elements), len(t.t_ss)
     failures = []
-    if c != instance.predicted_tss:
-        failures.append(f"|T_ss|={c} but the family predicts {instance.predicted_tss}")
+    if tss != c.predicted_tss(k):
+        failures.append(f"|T_ss|={tss} but the family predicts {c.predicted_tss(k)}")
     exact = exact_distance and distance_check_feasible(spec.n, size, distance_budget)
     verified = VERIFIED_BCH
     if rank_oracle or exact:
         code = build_code(spec, t)
-        bch = code.bch_delta
         if rank_oracle:
             c_rank = ebits_rank_oracle(code)
-            if c_rank != c:
-                failures.append(f"rank oracle {c_rank} != |T_ss| {c}")
+            if c_rank != tss:
+                failures.append(f"rank oracle {c_rank} != |T_ss| {tss}")
             verified = VERIFIED_RANK
         if exact:
             d = exact_distance_small(code, budget=distance_budget)
             if d != code.n - code.dim + 1:
                 failures.append(f"exact distance {d} != n-k+1 = {code.n - code.dim + 1}")
             verified = VERIFIED_EXACT
-    else:
-        bch = bch_delta(t)
+    bch = bch_delta(t)
     if bch != size + 1:
         failures.append(f"defining set is not a single run: bch={bch}, |T|={size}")
     params = EaqParams.from_defining_set(spec, t, bch, verified)
     if not params.mds:
         failures.append(f"Singleton equality fails for {params}")
     if failures:
-        raise VerificationError(f"{instance.label()}: " + "; ".join(failures))
+        raise VerificationError(f"{c.label(k)}: " + "; ".join(failures))
     return params
-
-
-def family_instances(family: FamilyId, q: int, h: int | None = None,
-                     include_qmds_datapoints: bool = True) -> list[FamilyInstance]:
-    """The instances of the construction's k-range, in k order; without the
-    QMDS datapoints the range starts at the |T_ss| threshold."""
-    c = construction(family, q, h)
-    start = c.lo if include_qmds_datapoints else max(c.lo, c.threshold)
-    return [c.instance(k) for k in range(start, c.hi + 1)]
 
 
 def applicable_combos(q_values: list[int]) -> list[tuple[FamilyId, int, int | None]]:
@@ -215,7 +188,7 @@ def applicable_combos(q_values: list[int]) -> list[tuple[FamilyId, int, int | No
         for q in sorted(q_values):
             for h in (3, 5, 7) if family is FamilyId.QM1_H else (None,):
                 try:
-                    check_applicable(family, q, h)
+                    construction(family, q, h)
                 except FamilyError:
                     continue
                 combos.append((family, q, h))

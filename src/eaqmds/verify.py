@@ -17,9 +17,8 @@ from .catalog import ConfigError
 from .codes import DEFAULT_DISTANCE_BUDGET, CoefficientDescentError, build_code
 from .cosets import DefiningSet, make_spec
 from .eaq import VERIFIED_RANK
-from .families import (FamilyId, FamilyInstance, VerificationError,
-                       applicable_combos, construction, family_instances, fan_out,
-                       instance_params, odd_prime_powers)
+from .families import (Construction, FamilyId, VerificationError, applicable_combos,
+                       construction, fan_out, instance_params, odd_prime_powers)
 
 
 @dataclass
@@ -57,20 +56,20 @@ class VerifyReport:
                 f"{len(self.instances) - self.failures} ok, {self.failures} failed")
 
 
-def _check_instance(instance: FamilyInstance, exact_distance: bool,
+def _check_instance(c: Construction, k: int, exact_distance: bool,
                     budget: int) -> InstanceReport:
     try:
-        params = instance_params(instance, rank_oracle=True,
+        params = instance_params(c, k, rank_oracle=True,
                                  exact_distance=exact_distance, distance_budget=budget)
     except VerificationError as exc:  # surfaced as a FAIL line, not a crash
-        return InstanceReport(instance.label(), "-", VERIFIED_RANK, [str(exc)])
-    return InstanceReport(instance.label(), str(params), params.verified)
+        return InstanceReport(c.label(k), "-", VERIFIED_RANK, [str(exc)])
+    return InstanceReport(c.label(k), str(params), params.verified)
 
 
 def _combo_reports(args: tuple) -> list[InstanceReport]:
     family, q, h, exact_distance, budget = args
-    return [_check_instance(instance, exact_distance, budget)
-            for instance in family_instances(family, q, h)]
+    c = construction(family, q, h)
+    return [_check_instance(c, k, exact_distance, budget) for k in c.indices()]
 
 
 def _descent_canary() -> InstanceReport:

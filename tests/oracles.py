@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 
+from eaqmds.fields import Matrix
+
 
 def perm_det(field, rows):
     """Determinant by permutation expansion (fine up to 4x4)."""
@@ -176,3 +178,10 @@ def constacyclic_generator_product(tower, elements):
         scaled = [top.mul(root, c) for c in coeffs] + [0]
         coeffs = [top.sub(a, b) for a, b in zip(shifted, scaled)]
     return [tower.embed.descend(c) for c in coeffs]
+
+
+def generator_matrix(code):
+    """The banded generator matrix: its k rows are the shifts of g."""
+    g, k = list(code.gen_poly.coeffs), code.dim
+    rows = [[0] * i + g + [0] * (k - 1 - i) for i in range(k)]
+    return Matrix(code.gen_poly.field, rows, cols=code.n)

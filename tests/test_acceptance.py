@@ -12,8 +12,7 @@ from eaqmds.catalog import RunConfig, generate_catalog, serialize_csv
 from eaqmds.codes import bch_delta, build_code, build_tower, exact_distance_small
 from eaqmds.cosets import (DefiningSet, all_cosets, coset, is_skew_symmetric,
                            make_spec, minus_q, omega_set, skew_partner)
-from eaqmds.families import (FamilyId, applicable_combos, construction,
-                             family_instances, odd_prime_powers)
+from eaqmds.families import FamilyId, applicable_combos, construction, odd_prime_powers
 from eaqmds.verify import run_verification
 
 import oracles
@@ -79,30 +78,32 @@ def test_criterion_2_cross_oracle_ebit_equality():
         lengths = set()
         count = 0
         for family, q, h in combos:
-            for inst in family_instances(family, q, h):
-                lengths.add(inst.spec.n)
-                count += 1
+            c = construction(family, q, h)
+            lengths.add(c.spec.n)
+            count += len(c.indices())
         assert count + 1 == len(report.instances)  # + the descent canary
         assert {8, 17, 24, 26, 40, 50, 170} <= lengths
         # threshold predictions: 0 below, 4/1 at and above the jump
         for family, q, h in combos:
-            threshold = construction(family, q, h).threshold
+            c = construction(family, q, h)
             nonzero = 4 if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA) else 1
-            for inst in family_instances(family, q, h):
-                expected = nonzero if inst.k >= threshold else 0
-                assert len(inst.t.t_ss) == expected, inst.label()
+            for k in c.indices():
+                expected = nonzero if k >= c.threshold else 0
+                assert len(c.defining_set(k).t_ss) == expected, c.label(k)
 
 
 def test_criterion_3_exact_distance_mds_spot_checks():
     with criterion(3, "exact-distance MDS spot checks"):
         seen = set()
         for family, q, h in applicable_combos(odd_prime_powers(13)):
-            for inst in family_instances(family, q, h):
-                n, redundancy = inst.spec.n, len(inst.t.elements)
+            c = construction(family, q, h)
+            for k in c.indices():
+                t = c.defining_set(k)
+                n, redundancy = c.spec.n, len(t.elements)
                 if n > 26 or redundancy > 7:
                     continue
-                code = build_code(inst.spec, inst.t)
-                assert exact_distance_small(code) == n - code.dim + 1, inst.label()
+                code = build_code(c.spec, t)
+                assert exact_distance_small(code) == n - code.dim + 1, c.label(k)
                 seen.add((n, code.dim, n - code.dim + 1))
         assert (8, 5, 4) in seen       # [8,5,4] over GF(25)
         assert (17, 16, 2) in seen     # [17,16,2] over GF(169)
@@ -177,7 +178,8 @@ def test_criterion_5_property_suites():
                 dividend = [f.neg(tower.eta)] + [0] * (spec.n - 1) + [1]
                 assert oracles.long_division_remainder(
                     f, dividend, list(code.gen_poly.coeffs)) == []
-                assert (code.gen_matrix @ code.check_matrix.transpose()).is_zero()
+                g = oracles.generator_matrix(code)
+                assert (g @ code.check_matrix.transpose()).is_zero()
                 if 0 < code.dim < spec.n and spec.n <= 17:
                     d = exact_distance_small(code)
                     assert d >= bch_delta(t)

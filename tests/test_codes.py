@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from eaqmds.codes import (CoefficientDescentError, DistanceBudgetExceeded,
                           bch_delta, build_code, build_tower,
                           classical_mds_verdict, exact_distance_small)
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec, omega_set
-from eaqmds.families import (FamilyId, applicable_combos, family_instances, family_spec,
+from eaqmds.families import (FamilyId, applicable_combos, construction, family_spec,
                              odd_prime_powers)
 from eaqmds.fields import Matrix, make_field
 
@@ -84,7 +85,7 @@ def test_negacyclic_code_26_19():
     code = _code(5, 2, 26, leaders=[13, 15, 17, 19])
     assert (code.n, code.dim) == (26, 19)
     assert code.bch_delta == 8
-    assert code.gen_matrix.rows == 19 and code.check_matrix.rows == 7
+    assert oracles.generator_matrix(code).rows == 19 and code.check_matrix.rows == 7
 
 
 def test_full_defining_set_gives_zero_code():
@@ -114,12 +115,12 @@ def test_single_coset_products_descend():
         spec = make_spec(*args)
         for c in all_cosets(spec):
             code = build_code(spec, DefiningSet.from_leaders(spec, [c.leader]))
-            assert code.gen_poly.degree == len(c)
+            assert code.gen_poly.degree == len(c.elements)
 
 
 def test_matrices_orthogonal_and_full_rank():
     code = _code(5, 2, 26, leaders=[13, 15, 17, 19])
-    g, h = code.gen_matrix, code.check_matrix
+    g, h = oracles.generator_matrix(code), code.check_matrix
     assert (g @ h.transpose()).is_zero()
     assert g.rank() == code.dim
     assert h.rank() == code.n - code.dim
@@ -155,12 +156,13 @@ def test_split_coset_fails_descent_with_the_closure_message(elements):
     (FamilyId.QM1_H, 11, 3, 1),
 ])
 def test_family_generator_polynomials_equal_product_of_linear_factors(family, q, h, m):
-    for instance in family_instances(family, q, h):
-        assert instance.spec.m == m
-        code = build_code(instance.spec, instance.t)
-        expected = oracles.constacyclic_generator_product(build_tower(instance.spec),
-                                                          instance.t.elements)
-        assert list(code.gen_poly.coeffs) == expected, instance.label()
+    c = construction(family, q, h)
+    assert c.spec.m == m
+    for k in c.indices():
+        t = c.defining_set(k)
+        code = build_code(c.spec, t)
+        expected = oracles.constacyclic_generator_product(build_tower(c.spec), t.elements)
+        assert list(code.gen_poly.coeffs) == expected, c.label(k)
 
 
 @pytest.mark.parametrize("q,r,n", [(5, 2, 12), (5, 6, 4)])  # m = 1: negacyclic, r = q + 1
@@ -292,10 +294,7 @@ def test_distance_invariant_under_check_row_transforms():
             if a.rank() == h.rows:
                 break
         transformed = a @ h
-        hacked = type(code)(spec=code.spec, defining_set=code.defining_set,
-                            gen_poly=code.gen_poly, dim=code.dim,
-                            bch_delta=code.bch_delta, gen_matrix=code.gen_matrix,
-                            check_matrix=transformed)
+        hacked = dataclasses.replace(code, check_matrix=transformed)
         assert exact_distance_small(hacked) == baseline
 
 

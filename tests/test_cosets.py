@@ -86,7 +86,7 @@ def test_coset_pair_structure():
 def test_coset_all_singletons_when_q2_is_one():
     spec = make_spec(5, 3, 8)
     assert spec.q**2 % spec.rn == 1
-    assert all(len(coset(spec, s)) == 1 for s in omega_set(spec))
+    assert all(len(coset(spec, s).elements) == 1 for s in omega_set(spec))
 
 
 def test_coset_rejects_outside_omega():
@@ -109,7 +109,7 @@ def test_cosets_partition_omega():
         union: list[int] = []
         for c in cosets:
             assert c.leader == min(c.elements)
-            assert spec.m % len(c) == 0
+            assert spec.m % len(c.elements) == 0
             qq = spec.q**2 % spec.rn
             assert {e * qq % spec.rn for e in c.elements} == set(c.elements)
             union.extend(c.elements)

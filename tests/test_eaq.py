@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from eaqmds.codes import build_code
 from eaqmds.cosets import DefiningSet, make_spec
 from eaqmds.eaq import EaqParams, EbitOracleMismatch, derive_eaq, ebits_rank_oracle
-from eaqmds.families import FamilyId, family_defining_set, instance_params
+from eaqmds.families import FamilyId, construction, instance_params
 from eaqmds.fields import Matrix
 
 import eaqmds.eaq as eaq_module
@@ -63,10 +64,7 @@ def test_rank_oracle_invariant_under_row_basis_change():
                                for _ in range(h.rows)])
             if a.rank() == h.rows:
                 break
-        hacked = type(code)(spec=code.spec, defining_set=code.defining_set,
-                            gen_poly=code.gen_poly, dim=code.dim,
-                            bch_delta=code.bch_delta, gen_matrix=code.gen_matrix,
-                            check_matrix=a @ h)
+        hacked = dataclasses.replace(code, check_matrix=a @ h)
         assert ebits_rank_oracle(hacked) == baseline
 
 
@@ -93,9 +91,9 @@ def test_derive_eaq_examples():
 def test_derive_combinatorial_matches_full_derivation():
     # the Q2P1_NEGA q=5 instance at k=3 has exactly these leaders
     spec, t, code = _setup(5, 2, 26, leaders=[13, 15, 17, 19])
-    instance = family_defining_set(FamilyId.Q2P1_NEGA, 5, k=3)
-    assert instance.t == t
-    fast = instance_params(instance)
+    c = construction(FamilyId.Q2P1_NEGA, 5)
+    assert c.defining_set(3) == t
+    fast = instance_params(c, 3)
     full = derive_eaq(code)
     assert (fast.n, fast.k, fast.d, fast.c, fast.mds) == \
            (full.n, full.k, full.d, full.c, full.mds)

@@ -6,8 +6,7 @@ from eaqmds import families
 from eaqmds.codes import bch_delta
 from eaqmds.cosets import DefiningSet, coset, is_skew_symmetric, skew_partner
 from eaqmds.families import (FamilyError, FamilyId, VerificationError, construction,
-                             family_defining_set, family_instances, family_spec,
-                             instance_params)
+                             family_spec, instance_params)
 from eaqmds.verify import _beyond_range_notes
 
 NEGA = FamilyId.Q2P1_NEGA
@@ -25,36 +24,50 @@ SMALL_COMBOS = [(NEGA, 5, None), (NEGA, 9, None), (CONSTA, 7, None),
 # applicability and ranges
 # ---------------------------------------------------------------------------
 
+# (family, q, h, message); the exact text pins the order of the checks too
+APPLICABILITY_ERRORS = [
+    (NEGA, 7, None, "q=7: negacyclic length q^2+1 needs q = 1 mod 4, q >= 5"),
+    (CONSTA, 13, None, "q=13: constacyclic length q^2+1 needs q = 3 mod 4, q >= 7"),
+    (T3, 3, None, "q=3: length (q^2+1)/10 needs q = 10m+3 with m >= 1"),    # m = 0
+    (T7, 7, None, "q=7: length (q^2+1)/10 needs q = 10m+7 with m >= 1"),    # m = 0
+    (T3, 17, None, "q=17: length (q^2+1)/10 needs q = 10m+3 with m >= 1"),  # 10m+7
+    (QM1, 13, 3, "h=3 must divide q+1=14"),
+    (QM1, 13, 4, "h=4 must be one of 3, 5, 7"),
+    (NEGA, 15, None, "q=15 must be an odd prime power"),
+    (NEGA, 5, 3, "Q2P1_NEGA takes no h parameter"),
+]
+
+
 def test_applicability_errors():
-    with pytest.raises(FamilyError):
-        family_defining_set(NEGA, 7, k=0)           # 7 = 3 mod 4
-    with pytest.raises(FamilyError):
-        family_defining_set(CONSTA, 13, k=0)        # 13 = 1 mod 4
-    with pytest.raises(FamilyError):
-        family_defining_set(T3, 3, k=0)             # m = 0 excluded
-    with pytest.raises(FamilyError):
-        family_defining_set(T7, 7, k=0)             # m = 0 excluded
-    with pytest.raises(FamilyError):
-        family_defining_set(T3, 17, k=0)            # 17 = 10m+7, wrong branch
-    with pytest.raises(FamilyError):
-        family_defining_set(QM1, 13, h=3, k=0)      # 3 does not divide 14
-    with pytest.raises(FamilyError):
-        family_defining_set(QM1, 13, h=4, k=5)      # h outside {3,5,7}
-    with pytest.raises(FamilyError):
-        family_defining_set(NEGA, 15, k=0)          # 15 not a prime power
-    with pytest.raises(FamilyError):
-        family_defining_set(NEGA, 5, h=3, k=0)      # h forbidden here
+    for family, q, h, message in APPLICABILITY_ERRORS:
+        with pytest.raises(FamilyError) as err:
+            construction(family, q, h)
+        assert str(err.value) == message
 
 
 def test_k_out_of_range_rejected():
     c = construction(NEGA, 5)
     assert (c.lo, c.hi) == (0, 6)
-    with pytest.raises(FamilyError):
-        family_defining_set(NEGA, 5, k=c.hi + 1)
+    with pytest.raises(FamilyError) as err:
+        instance_params(c, c.hi + 1)
+    assert str(err.value) == "k=7 outside the proved range [0, 6] for Q2P1_NEGA q=5"
     c = construction(QM1, 13, 7)
     assert (c.lo, c.hi) == (4, 11)
-    with pytest.raises(FamilyError):
-        family_defining_set(QM1, 13, h=7, k=3)
+    with pytest.raises(FamilyError) as err:
+        instance_params(c, 3)
+    assert str(err.value) == "k=3 outside the proved range [4, 11] for QM1_H q=13"
+
+
+def test_indices_and_labels():
+    c = construction(NEGA, 5)
+    assert c.indices() == range(0, 7)
+    assert c.indices(include_qmds_datapoints=False) == range(3, 7)
+    assert c.label(3) == "Q2P1_NEGA q=5 k=3"
+    c = construction(QM1, 13, 7)
+    assert c.indices(include_qmds_datapoints=False) == range(5, 12)
+    assert c.label(4) == "QM1_H q=13 h=7 k=4"
+    # a zero threshold leaves the range as it is
+    assert construction(T3, 13).indices(include_qmds_datapoints=False) == range(0, 4)
 
 
 def test_construction_records_match_the_stated_ranges():
@@ -92,35 +105,35 @@ def test_family_specs():
 # ---------------------------------------------------------------------------
 
 def test_nega_defining_set_q5_k3():
-    inst = family_defining_set(NEGA, 5, k=3)
-    assert sorted(inst.t.elements) == [7, 9, 11, 13, 15, 17, 19]
-    assert inst.predicted_tss == 4 == construction(NEGA, 5).ebits
+    c = construction(NEGA, 5)
+    assert sorted(c.defining_set(3).elements) == [7, 9, 11, 13, 15, 17, 19]
+    assert c.predicted_tss(3) == 4 == c.ebits
 
 
 def test_tenth3_defining_set_q13_k3():
-    inst = family_defining_set(T3, 13, k=3)
-    assert sorted(inst.t.elements) == [11, 13, 15, 17, 19, 21, 23]
-    assert len(inst.t.elements) == 7
-    assert inst.predicted_tss == 1
+    c = construction(T3, 13)
+    assert sorted(c.defining_set(3).elements) == [11, 13, 15, 17, 19, 21, 23]
+    assert c.predicted_tss(3) == 1
 
 
 def test_qm1_defining_set_q5_h3_k2():
-    inst = family_defining_set(QM1, 5, h=3, k=2)
-    assert sorted(inst.t.elements) == [1, 4, 7]
-    assert inst.predicted_tss == 1
+    c = construction(QM1, 5, 3)
+    assert sorted(c.defining_set(2).elements) == [1, 4, 7]
+    assert c.predicted_tss(2) == 1
 
 
 def test_predicted_zero_below_threshold():
-    assert family_defining_set(NEGA, 5, k=2).predicted_tss == 0
+    assert construction(NEGA, 5).predicted_tss(2) == 0
     assert construction(NEGA, 5).threshold == 3
-    assert family_defining_set(QM1, 13, h=7, k=4).predicted_tss == 0
+    assert construction(QM1, 13, 7).predicted_tss(4) == 0
     assert construction(QM1, 13, 7).threshold == 5
 
 
 def test_predictions_match_computed_decomposition_everywhere():
     for family, q, h in SMALL_COMBOS:
-        for inst in family_instances(family, q, h):
-            assert len(inst.t.t_ss) == inst.predicted_tss, inst.label()
+        c = construction(family, q, h)
+        for k in c.indices():
+            assert len(c.defining_set(k).t_ss) == c.predicted_tss(k), c.label(k)
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +177,17 @@ def test_no_other_skew_structure_inside_full_range_set():
     # apart from the predicted pair / skew-symmetric coset, nothing in the
     # largest defining set is skew-symmetric or matched inside T
     for family, q, h in SMALL_COMBOS:
-        inst = family_defining_set(family, q, h, construction(family, q, h).hi)
-        expected_ss = inst.t.t_ss
-        for leader in inst.t.leaders:
-            c = coset(inst.spec, leader)
-            inside = set(c.elements) <= expected_ss
+        record = construction(family, q, h)
+        t = record.defining_set(record.hi)
+        for leader in t.leaders:
+            c = coset(record.spec, leader)
+            inside = set(c.elements) <= t.t_ss
             if is_skew_symmetric(c):
-                assert inside, inst.label()
-            elif set(skew_partner(c).elements) <= inst.t.elements:
-                assert inside, inst.label()
+                assert inside, record.label(record.hi)
+            elif set(skew_partner(c).elements) <= t.elements:
+                assert inside, record.label(record.hi)
             else:
-                assert not inside, inst.label()
+                assert not inside, record.label(record.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +196,17 @@ def test_no_other_skew_structure_inside_full_range_set():
 
 def test_family_sets_are_single_runs():
     for family, q, h in SMALL_COMBOS:
-        for inst in family_instances(family, q, h):
-            assert bch_delta(inst.t) == len(inst.t.elements) + 1, inst.label()
+        c = construction(family, q, h)
+        for k in c.indices():
+            t = c.defining_set(k)
+            assert bch_delta(t) == len(t.elements) + 1, c.label(k)
 
 
 def test_instance_params_singleton_equality():
     for family, q, h in SMALL_COMBOS:
-        for inst in family_instances(family, q, h):
-            p = instance_params(inst)
+        c = construction(family, q, h)
+        for k in c.indices():
+            p = instance_params(c, k)
             assert p.n + p.c - p.k == 2 * (p.d - 1) and p.mds
 
 
@@ -199,8 +215,8 @@ def test_instance_params_singleton_equality():
 # ---------------------------------------------------------------------------
 
 def _family_params(family, q, h=None, include_qmds_datapoints=False, **checks):
-    return [instance_params(inst, **checks)
-            for inst in family_instances(family, q, h, include_qmds_datapoints)]
+    c = construction(family, q, h)
+    return [instance_params(c, k, **checks) for k in c.indices(include_qmds_datapoints)]
 
 
 def test_enumerate_nega_q5():
@@ -242,12 +258,12 @@ def test_enumerate_consta_matches_published_shape():
 
 
 def test_verification_error_names_instance():
-    inst = family_defining_set(NEGA, 5, k=3)
-    bad = dataclasses.replace(inst, predicted_tss=3)
+    c = construction(NEGA, 5)
+    bad = dataclasses.replace(c, ebits=3)
     with pytest.raises(VerificationError) as err:
-        instance_params(bad)
-    assert "Q2P1_NEGA q=5" in str(err.value)
-    assert inst.predicted_tss == 4
+        instance_params(bad, 3)
+    assert str(err.value) == "Q2P1_NEGA q=5 k=3: |T_ss|=4 but the family predicts 3"
+    assert c.predicted_tss(3) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +323,7 @@ def test_qm1_one_ebit_onset_matches_lower_bound():
         c = construction(QM1, q, h)
         lo, threshold = c.lo, c.threshold
         onset = next(k for k in range(lo, q - 1)
-                     if len(family_defining_set(QM1, q, h, k).t.t_ss) == 1)
+                     if len(c.defining_set(k).t_ss) == 1)
         assert onset == threshold
         assert onset - lo + 2 == (q + 1) // h + 1
         if h > 3:
