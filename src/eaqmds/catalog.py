@@ -209,8 +209,8 @@ def rows_for_combo(family: FamilyId, q: int, h: int | None, *,
                    source_table: int | None = None) -> list[CatalogRow]:
     c = construction(family, q, h)
     rows = []
-    for k in c.indices(include_qmds_datapoints):
-        p = instance_params(c, k, rank_oracle=rank_oracle,
+    for k, t in c.defining_sets(c.indices(include_qmds_datapoints)):
+        p = instance_params(c, k, t, rank_oracle=rank_oracle,
                             exact_distance=exact_distance,
                             distance_budget=distance_budget)
         rows.append(CatalogRow(family=family.value, q=q, h=h, n=p.n, k=p.k,

@@ -226,7 +226,7 @@ def cmd_code(args, cfg: RunConfig) -> int:
         "defining_set": sorted(t.elements),
         "ebits_combinatorial": len(t.t_ss),
     }
-    lines = [f"[{code.n}, {code.dim}, >={code.bch_delta}] over GF({spec.q}^2)",
+    lines = [f"[{code.n}, {code.dim}, >={payload['bch_delta']}] over GF({spec.q}^2)",
              f"defining set: {payload['defining_set']}",
              f"gen poly coefficient codes: {payload['gen_poly_coeffs']}",
              f"|T_ss| = {len(t.t_ss)}"]

@@ -34,8 +34,9 @@ class CoefficientDescentError(ValueError):
 
 
 class InconsistentRootSystemError(ValueError):
-    """x^n - eta was not divisible by the generator polynomial, which
-    signals an omega/eta inconsistency."""
+    """omega or eta = omega^n has the wrong multiplicative order, or x^n - eta
+    was not divisible by the generator polynomial; either signals an
+    omega/eta inconsistency."""
 
 
 class DistanceBudgetExceeded(RuntimeError):
@@ -64,10 +65,11 @@ def build_tower(spec: CodeSpec) -> Tower:
     q2 = make_field(spec.p, 2 * spec.ell)
     top, embed = extend(q2, spec.m)
     omega = top.pow(top.primitive_code(), spec.omega_exponent_base)
-    assert top.element_order(omega) == spec.rn
-    eta_top = top.pow(omega, spec.n)
-    eta = embed.descend(eta_top)
-    assert q2.element_order(eta) == spec.r
+    if top.element_order(omega) != spec.rn:
+        raise InconsistentRootSystemError(f"omega does not have order rn={spec.rn}")
+    eta = embed.descend(top.pow(omega, spec.n))
+    if q2.element_order(eta) != spec.r:
+        raise InconsistentRootSystemError(f"eta = omega^n does not have order r={spec.r}")
     return Tower(spec=spec, q2=q2, top=top, embed=embed, omega=omega, eta=eta)
 
 
@@ -79,12 +81,16 @@ class ConstacyclicCode:
     defining_set: DefiningSet
     gen_poly: Poly
     dim: int
-    bch_delta: int
     check_matrix: Matrix
 
     @property
     def n(self) -> int:
         return self.spec.n
+
+    @property
+    def bch_delta(self) -> int:
+        """The BCH bound of the defining set, computed on each access."""
+        return bch_delta(self.defining_set)
 
     def __repr__(self) -> str:
         return (f"ConstacyclicCode([{self.n}, {self.dim}, >={self.bch_delta}] "
@@ -131,7 +137,7 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
         raise AssertionError("generator and parity-check matrices not orthogonal")
 
     return ConstacyclicCode(spec=spec, defining_set=t, gen_poly=gen_poly, dim=k,
-                            bch_delta=bch_delta(t), check_matrix=check_matrix)
+                            check_matrix=check_matrix)
 
 
 def bch_delta(t: DefiningSet) -> int:

@@ -4,6 +4,16 @@ Everything here is integer set arithmetic on the class set
 Omega = {1 + ri mod rn : 0 <= i < n}; no field elements are built.  A
 defining set T splits as T = T_ss | T_sas with T_ss = T & T^{-q}, and
 |T_ss| is the ebit count consumed downstream.
+
+DefiningSet.from_leaders and from_elements compute T_ss from scratch.
+DefiningSet.with_coset grows a set by one coset C: with T' = T | C,
+
+    T' & -qT' = T_ss | (T' & -qC) | (C & -qT'),
+
+and C & -qT' = -q(T' & -qC) because -q maps -qC onto q^2 C = C.  A step
+therefore costs O(|C|) set lookups besides copying T, so a sweep over
+nested sets T_lo <= T_lo+1 <= ... (families.Construction.defining_sets)
+never recomputes the -q image of a whole set.
 """
 
 from __future__ import annotations
@@ -45,8 +55,9 @@ class CodeSpec:
             raise ValueError(f"length n={n} must be coprime to q={q}")
         rn = r * n
         qq = q * q % rn
+        # the order of q^2 modulo rn; modulo rn = 1 every residue is 1 % rn = 0
         m, acc = 1, qq
-        while acc != 1:
+        while acc != 1 % rn:
             acc = acc * qq % rn
             m += 1
         return cls(q=q, p=p, ell=ell, r=r, n=n, rn=rn, m=m,
@@ -125,20 +136,26 @@ def skew_partner(c: CyclotomicCoset) -> CyclotomicCoset:
 class DefiningSet:
     """A union of cyclotomic cosets with its skew decomposition.
 
-    t_ss = T & T^{-q} and t_sas = T \\ t_ss are computed eagerly; both are
-    unions of whole cosets whenever T is.
+    t_ss = T & T^{-q} and t_sas = T \\ t_ss; both are unions of whole
+    cosets whenever T is.  Build one with from_leaders or from_elements,
+    and grow it with with_coset.
     """
 
     spec: CodeSpec
     leaders: tuple[int, ...]
     elements: frozenset[int]
-    t_ss: frozenset[int] = field(init=False)
+    t_ss: frozenset[int]
     t_sas: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        image = frozenset(minus_q(self.spec, s) for s in self.elements)
-        object.__setattr__(self, "t_ss", self.elements & image)
         object.__setattr__(self, "t_sas", self.elements - self.t_ss)
+
+    @classmethod
+    def _from_scratch(cls, spec: CodeSpec, leaders: Iterable[int],
+                      elements: frozenset[int]) -> DefiningSet:
+        image = frozenset(minus_q(spec, s) for s in elements)
+        return cls(spec=spec, leaders=tuple(sorted(leaders)), elements=elements,
+                   t_ss=elements & image)
 
     @classmethod
     def from_leaders(cls, spec: CodeSpec, leaders: Iterable[int]) -> DefiningSet:
@@ -148,7 +165,7 @@ class DefiningSet:
             c = coset(spec, s)
             leads.add(c.leader)
             elems.update(c.elements)
-        return cls(spec=spec, leaders=tuple(sorted(leads)), elements=frozenset(elems))
+        return cls._from_scratch(spec, leads, frozenset(elems))
 
     @classmethod
     def from_elements(cls, spec: CodeSpec, elements: Iterable[int],
@@ -166,7 +183,19 @@ class DefiningSet:
                 closed.update(coset(spec, e).elements)
             if closed != set(elems):
                 raise ValueError("element set is not a union of whole cosets")
-        return cls(spec=spec, leaders=tuple(sorted(leads)), elements=elems)
+        return cls._from_scratch(spec, leads, elems)
+
+    def with_coset(self, s: int) -> DefiningSet:
+        """T | C(s), with t_ss grown from C(s) alone; T itself when C(s) <= T."""
+        c = coset(self.spec, s)
+        if self.elements.issuperset(c.elements):
+            return self
+        elements = self.elements.union(c.elements)
+        # T' & -qC, and its -q image C & -qT'
+        meet = [z for z in (minus_q(self.spec, x) for x in c.elements) if z in elements]
+        t_ss = self.t_ss.union(meet, (minus_q(self.spec, z) for z in meet))
+        return DefiningSet(spec=self.spec, leaders=tuple(sorted({*self.leaders, c.leader})),
+                           elements=elements, t_ss=t_ss)
 
 
 def t_minus_q(t: DefiningSet) -> frozenset[int]:

@@ -7,6 +7,12 @@ takes its nonzero value.  An instance is a record and an index k in its
 proved range.  instance_params is the one place an instance is checked:
 the catalog, the verification suite and the `family` command all call it,
 at the verification level they need.
+
+The defining sets of one construction are nested, T_k = T_{k-1} | C(start
++ r*k), so they are built as one sweep: Construction.defining_sets adds one
+coset per index, and DefiningSet.with_coset grows T_ss from that coset
+alone.  A combo of K instances costs K coset computations, not O(K^2), and
+the sweep holds only the current set, so each T_k is checked and dropped.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .codes import (DEFAULT_DISTANCE_BUDGET, bch_delta, build_code,
                     distance_check_feasible, exact_distance_small)
@@ -73,10 +79,22 @@ class Construction:
     threshold: int
     ebits: int
 
+    def defining_sets(self, ks: Iterable[int]) -> Iterator[tuple[int, DefiningSet]]:
+        """(k, T_k) for each k of the ascending ks, grown one coset per index
+        from lo; k need not lie in the proved range."""
+        # t is T_{i-1}, the union of the cosets of start + r*j for lo <= j < i
+        t, i = DefiningSet.from_elements(self.spec, ()), self.lo
+        for k in ks:
+            if max(k + 1, self.lo) < i:
+                raise ValueError(f"indices must ascend: k={k} after k={i - 1}")
+            while i <= k:
+                t = t.with_coset(self.start + self.spec.r * i)
+                i += 1
+            yield k, t
+
     def defining_set(self, k: int) -> DefiningSet:
         """The defining set at index k, whether or not k lies in the proved range."""
-        leaders = [self.start + self.spec.r * i for i in range(self.lo, k + 1)]
-        return DefiningSet.from_leaders(self.spec, leaders)
+        return next(self.defining_sets([k]))[1]
 
     def predicted_tss(self, k: int) -> int:
         return self.ebits if k >= self.threshold else 0
@@ -133,10 +151,11 @@ def family_spec(family: FamilyId, q: int, h: int | None = None) -> CodeSpec:
     return construction(family, q, h).spec
 
 
-def instance_params(c: Construction, k: int, *, rank_oracle: bool = False,
-                    exact_distance: bool = False,
+def instance_params(c: Construction, k: int, t: DefiningSet, *,
+                    rank_oracle: bool = False, exact_distance: bool = False,
                     distance_budget: int = DEFAULT_DISTANCE_BUDGET) -> EaqParams:
-    """Verified EA parameters for the instance of construction c at index k.
+    """Verified EA parameters for the instance of construction c at index k,
+    whose defining set t is T_k as c.defining_sets yields it.
 
     Raises FamilyError when k lies outside the proved range.  Always checks
     that the computed |T_ss| matches the family prediction, that the
@@ -151,7 +170,7 @@ def instance_params(c: Construction, k: int, *, rank_oracle: bool = False,
     if not c.lo <= k <= c.hi:
         raise FamilyError(f"k={k} outside the proved range [{c.lo}, {c.hi}] "
                           f"for {c.family.value} q={c.q}")
-    spec, t = c.spec, c.defining_set(k)
+    spec = c.spec
     size, tss = len(t.elements), len(t.t_ss)
     failures = []
     if tss != c.predicted_tss(k):

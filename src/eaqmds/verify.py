@@ -56,10 +56,10 @@ class VerifyReport:
                 f"{len(self.instances) - self.failures} ok, {self.failures} failed")
 
 
-def _check_instance(c: Construction, k: int, exact_distance: bool,
+def _check_instance(c: Construction, k: int, t: DefiningSet, exact_distance: bool,
                     budget: int) -> InstanceReport:
     try:
-        params = instance_params(c, k, rank_oracle=True,
+        params = instance_params(c, k, t, rank_oracle=True,
                                  exact_distance=exact_distance, distance_budget=budget)
     except VerificationError as exc:  # surfaced as a FAIL line, not a crash
         return InstanceReport(c.label(k), "-", VERIFIED_RANK, [str(exc)])
@@ -69,7 +69,8 @@ def _check_instance(c: Construction, k: int, exact_distance: bool,
 def _combo_reports(args: tuple) -> list[InstanceReport]:
     family, q, h, exact_distance, budget = args
     c = construction(family, q, h)
-    return [_check_instance(c, k, exact_distance, budget) for k in c.indices()]
+    return [_check_instance(c, k, t, exact_distance, budget)
+            for k, t in c.defining_sets(c.indices())]
 
 
 def _descent_canary() -> InstanceReport:
@@ -93,8 +94,8 @@ def _beyond_range_notes(combos: list[tuple[FamilyId, int, int | None]]) -> list[
     for family, q, h in combos:
         c = construction(family, q, h)
         if family is FamilyId.QM1_H:
-            onset = next(k for k in range(c.lo, c.hi + 1)
-                         if len(c.defining_set(k).t_ss) == 1)
+            onset = next(k for k, t in c.defining_sets(range(c.lo, c.hi + 1))
+                         if len(t.t_ss) == 1)
             notes.append(
                 f"{family.value} q={q} h={h}: first k with |T_ss|=1 is {onset} "
                 f"(threshold {c.threshold}), so the one-ebit range starts at "

@@ -55,6 +55,24 @@ def test_cosets_invalid_spec_exit_2(capsys):
     assert code == 2 and "divide" in err
 
 
+# rn = r*n = 1 once made the order loop of CodeSpec.create run forever, so
+# these run in a child process with a timeout
+@pytest.mark.parametrize("argv,rc,out,err", [
+    (["cosets", "3", "1", "1"], 0,
+     "spec: q=3 r=1 n=1 rn=1 m=1\ncosets: 1\nC_0 = {0}  skew-symmetric\n", ""),
+    (["decompose", "3", "1", "1", "--cosets", "0"], 0,
+     "spec: q=3 r=1 n=1 rn=1\nT     = [0]\nT^-q  = [0]\nT_ss  = [0]  (|T_ss| = 1)\n"
+     "T_sas = []\ndual-containing: false\n", ""),
+    (["code", "3", "1", "1", "--cosets", "0", "--rank-oracle"], 2,
+     "", "error: ebit count 1 outside [0, 0]\n"),
+], ids=["cosets", "decompose", "code-rank-oracle"])
+def test_length_one_spec_terminates(argv, rc, out, err):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eaqmds.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "eaqmds.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
+
+
 # ---------------------------------------------------------------------------
 # decompose and code
 # ---------------------------------------------------------------------------

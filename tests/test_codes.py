@@ -5,7 +5,7 @@ import pytest
 
 from eaqmds import codes, fields
 from eaqmds.codes import (CoefficientDescentError, DistanceBudgetExceeded,
-                          bch_delta, build_code, build_tower,
+                          InconsistentRootSystemError, bch_delta, build_code, build_tower,
                           classical_mds_verdict, exact_distance_small)
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec, omega_set
 from eaqmds.families import (FamilyId, applicable_combos, construction, family_spec,
@@ -35,6 +35,20 @@ def test_tower_omega_and_eta_orders():
         assert tower.top.element_order(tower.omega) == spec.rn
         assert tower.q2.element_order(tower.eta) == spec.r
         assert tower.embed.descend(tower.top.pow(tower.omega, spec.n)) == tower.eta
+
+
+@pytest.mark.parametrize("fake_order,message", [
+    (lambda spec: 0, "omega does not have order rn=52"),
+    # right for omega, so the eta check is the one that fails
+    (lambda spec: spec.rn, "eta = omega^n does not have order r=2"),
+], ids=["omega", "eta"])
+def test_tower_order_checks_raise(monkeypatch, fake_order, message):
+    # explicit raises, not asserts, so that python -O keeps both checks
+    spec = make_spec(5, 2, 26)
+    monkeypatch.setattr(fields.Field, "element_order", lambda self, a: fake_order(spec))
+    with pytest.raises(InconsistentRootSystemError) as err:
+        build_tower.__wrapped__(spec)  # past the cache, which holds the good tower
+    assert str(err.value) == message
 
 
 def test_towers_request_no_prime_field(monkeypatch):

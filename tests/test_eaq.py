@@ -93,7 +93,7 @@ def test_derive_combinatorial_matches_full_derivation():
     spec, t, code = _setup(5, 2, 26, leaders=[13, 15, 17, 19])
     c = construction(FamilyId.Q2P1_NEGA, 5)
     assert c.defining_set(3) == t
-    fast = instance_params(c, 3)
+    fast = instance_params(c, 3, t)
     full = derive_eaq(code)
     assert (fast.n, fast.k, fast.d, fast.c, fast.mds) == \
            (full.n, full.k, full.d, full.c, full.mds)

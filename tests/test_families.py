@@ -5,8 +5,9 @@ import pytest
 from eaqmds import families
 from eaqmds.codes import bch_delta
 from eaqmds.cosets import DefiningSet, coset, is_skew_symmetric, skew_partner
-from eaqmds.families import (FamilyError, FamilyId, VerificationError, construction,
-                             family_spec, instance_params)
+from eaqmds.families import (FamilyError, FamilyId, VerificationError,
+                             applicable_combos, construction, family_spec,
+                             instance_params, odd_prime_powers)
 from eaqmds.verify import _beyond_range_notes
 
 NEGA = FamilyId.Q2P1_NEGA
@@ -49,12 +50,12 @@ def test_k_out_of_range_rejected():
     c = construction(NEGA, 5)
     assert (c.lo, c.hi) == (0, 6)
     with pytest.raises(FamilyError) as err:
-        instance_params(c, c.hi + 1)
+        instance_params(c, c.hi + 1, c.defining_set(c.hi + 1))
     assert str(err.value) == "k=7 outside the proved range [0, 6] for Q2P1_NEGA q=5"
     c = construction(QM1, 13, 7)
     assert (c.lo, c.hi) == (4, 11)
     with pytest.raises(FamilyError) as err:
-        instance_params(c, 3)
+        instance_params(c, 3, c.defining_set(3))
     assert str(err.value) == "k=3 outside the proved range [4, 11] for QM1_H q=13"
 
 
@@ -127,6 +128,30 @@ def test_predicted_zero_below_threshold():
     assert construction(NEGA, 5).threshold == 3
     assert construction(QM1, 13, 7).predicted_tss(4) == 0
     assert construction(QM1, 13, 7).threshold == 5
+
+
+def test_sweep_equals_from_leaders_up_to_q60():
+    # the sweep grows T_ss one coset at a time; from_leaders recomputes it
+    # from scratch.  Every combo with q <= 60, one step past the range too.
+    instances = 0
+    for family, q, h in applicable_combos(odd_prime_powers(60)):
+        c = construction(family, q, h)
+        for k, t in c.defining_sets(range(c.lo, c.hi + 2)):
+            oracle = DefiningSet.from_leaders(
+                c.spec, [c.start + c.spec.r * i for i in range(c.lo, k + 1)])
+            assert (t.elements, t.t_ss, t.t_sas, t.leaders) == \
+                (oracle.elements, oracle.t_ss, oracle.t_sas, oracle.leaders), c.label(k)
+            instances += 1
+    assert instances == 1386
+
+
+def test_sweep_yields_requested_indices_and_rejects_descending_ones():
+    c = construction(QM1, 13, 7)
+    assert [k for k, _ in c.defining_sets([c.lo - 2, 5, 5, 9])] == [c.lo - 2, 5, 5, 9]
+    assert c.defining_set(c.lo - 1).elements == frozenset()
+    with pytest.raises(ValueError) as err:
+        list(c.defining_sets([9, 8]))
+    assert str(err.value) == "indices must ascend: k=8 after k=9"
 
 
 def test_predictions_match_computed_decomposition_everywhere():
@@ -205,8 +230,8 @@ def test_family_sets_are_single_runs():
 def test_instance_params_singleton_equality():
     for family, q, h in SMALL_COMBOS:
         c = construction(family, q, h)
-        for k in c.indices():
-            p = instance_params(c, k)
+        for k, t in c.defining_sets(c.indices()):
+            p = instance_params(c, k, t)
             assert p.n + p.c - p.k == 2 * (p.d - 1) and p.mds
 
 
@@ -216,7 +241,8 @@ def test_instance_params_singleton_equality():
 
 def _family_params(family, q, h=None, include_qmds_datapoints=False, **checks):
     c = construction(family, q, h)
-    return [instance_params(c, k, **checks) for k in c.indices(include_qmds_datapoints)]
+    return [instance_params(c, k, t, **checks)
+            for k, t in c.defining_sets(c.indices(include_qmds_datapoints))]
 
 
 def test_enumerate_nega_q5():
@@ -261,7 +287,7 @@ def test_verification_error_names_instance():
     c = construction(NEGA, 5)
     bad = dataclasses.replace(c, ebits=3)
     with pytest.raises(VerificationError) as err:
-        instance_params(bad, 3)
+        instance_params(bad, 3, c.defining_set(3))
     assert str(err.value) == "Q2P1_NEGA q=5 k=3: |T_ss|=4 but the family predicts 3"
     assert c.predicted_tss(3) == 4
 
