@@ -168,6 +168,13 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
     parity-check matrix, or None when every subset of size <= cap is
     independent (distance exceeds the cap).  Raises DistanceBudgetExceeded
     when more than `budget` column subsets would have to be evaluated.
+
+    Only subsets that contain column 0 are searched.  The code is closed
+    under the weight-keeping shift (c_0, ..., c_{n-1}) -> (eta*c_{n-1},
+    c_0, ..., c_{n-2}), which `build_code` guarantees by rejecting any g
+    that does not divide x^n - eta; so some minimum-weight codeword has 0
+    in its support, and that support is a smallest dependent column set.
+    Row transforms A*H of the check matrix keep the code, and so the proof.
     """
     n, k = code.n, code.dim
     if not 0 < k < n:
@@ -183,11 +190,12 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
     best: int | None = None
     visits = 0
 
-    # Depth-first over column subsets in index order.  Each level keeps the
-    # remaining columns already reduced against all chosen pivots, so a node
-    # costs one elimination per surviving column.  A reduced-to-zero column
-    # closes a dependent subset; pruning at `best` is sound because deeper
-    # subsets are strictly larger.
+    # Depth-first over column subsets in index order, with column 0 the only
+    # first column (see the docstring).  Each level keeps the remaining
+    # columns already reduced against all chosen pivots, so a node costs one
+    # elimination per surviving column.  A reduced-to-zero column closes a
+    # dependent subset; pruning at `best` is sound because deeper subsets
+    # are strictly larger.
     def dfs(remaining: list[tuple[int, list[int]]], depth: int) -> None:
         nonlocal best, visits
         if depth == m:
@@ -195,7 +203,7 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
             if remaining and m + 1 <= limit and (best is None or m + 1 < best):
                 best = m + 1
             return
-        for idx, (j, col) in enumerate(remaining):
+        for idx, (j, col) in enumerate(remaining if depth else remaining[:1]):
             if best is not None and depth + 1 >= best:
                 return
             if depth + 1 > limit:
@@ -226,7 +234,12 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
 
 
 def distance_check_feasible(n: int, redundancy: int, budget: int) -> bool:
-    """True when the full independence sweep fits the evaluation budget."""
+    """True when the full independence sweep fits the evaluation budget.
+
+    It still counts all C(n, w) subsets per weight, not the about
+    C(n-1, w-1) of the search rooted at column 0: this model decides which
+    rows reach `exact-distance`, so a tighter one would change the output.
+    """
     total = 0
     for w in range(1, redundancy + 1):
         total += math.comb(n, w)

@@ -127,14 +127,15 @@ def longest_consecutive_window(spec, elements) -> int:
     return best
 
 
-def dependent_subset_min_size(field, h_entries, max_size) -> int | None:
-    """Smallest dependent column multiset size, by exhaustive subsets and
-    minor-expansion rank checks (only for tiny matrices)."""
+def dependent_subset_min_size(field, h_entries, max_size, rank=minor_rank) -> int | None:
+    """Smallest dependent column set size up to max_size, or None, by
+    ranking every column subset in size order.  The default minor-expansion
+    rank suits only tiny matrices; pass `rref_rank` for larger ones."""
     m, n = len(h_entries), len(h_entries[0])
     for w in range(1, max_size + 1):
         for csel in itertools.combinations(range(n), w):
             sub = [[h_entries[i][j] for j in csel] for i in range(m)]
-            if minor_rank(field, sub) < w:
+            if rank(field, sub) < w:
                 return w
     return None
 
@@ -162,6 +163,11 @@ def gauss_jordan_rref(field, rows):
                 m[i] = [field.sub(v, field.mul(g, w)) for v, w in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
+
+
+def rref_rank(field, rows) -> int:
+    """Rank as the number of Gauss-Jordan pivots."""
+    return len(gauss_jordan_rref(field, rows)[1])
 
 
 def constacyclic_generator_product(tower, elements):

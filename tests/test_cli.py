@@ -156,6 +156,16 @@ def test_code_exact_distance_searches_once_unless_capped(capsys, monkeypatch, ar
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_code_exact_distance_fits_default_budget(capsys):
+    # d = 6 takes 231,526 subset evaluations rooted at column 0, inside the
+    # default budget of 10^6; taking every column as the first one takes
+    # 2,369,935
+    code, out, _ = run_cli(capsys, "code", "7", "2", "50", "--cosets", "21,23,25,27,29",
+                           "--exact-distance")
+    assert code == 0
+    assert "exact distance: 6 (mds-bch)" in out.splitlines()
+
+
 def test_code_empty_cosets_exit_2(capsys):
     code, out, err = run_cli(capsys, "code", "5", "3", "8", "--cosets", "")
     assert (code, out, err) == (2, "", "error: defining set is empty\n")

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eaqmds import codes, fields
 from eaqmds.codes import (CoefficientDescentError, DistanceBudgetExceeded,
@@ -282,6 +284,12 @@ def test_exact_distance_at_least_bch():
         assert d >= code.bch_delta
 
 
+def test_exact_distance_rooted_search_fits_small_budget():
+    # rooted at column 0 the search takes 29 subset evaluations; taking
+    # every column as the first one takes 92
+    assert exact_distance_small(_code(5, 3, 8, elements=[1, 4, 7]), budget=50) == 4
+
+
 def test_exact_distance_budget_error():
     code = _code(5, 2, 26, leaders=[13, 15, 17, 19])
     with pytest.raises(DistanceBudgetExceeded):
@@ -295,21 +303,52 @@ def test_exact_distance_rejects_degenerate():
         exact_distance_small(code)
 
 
+def _row_transformed(code, rng):
+    """The code with check matrix A*H for a random invertible A."""
+    h = code.check_matrix
+    while True:
+        a = Matrix(h.field, [[rng.randrange(h.field.order) for _ in range(h.rows)]
+                             for _ in range(h.rows)])
+        if a.rank() == h.rows:
+            return dataclasses.replace(code, check_matrix=a @ h)
+
+
 def test_distance_invariant_under_check_row_transforms():
     code = _code(5, 3, 8, elements=[1, 4, 7])
-    h = code.check_matrix
-    field = h.field
     rng = random.Random(42)
     baseline = exact_distance_small(code)
     for _ in range(4):
-        while True:
-            a = Matrix(field, [[rng.randrange(field.order) for _ in range(h.rows)]
-                               for _ in range(h.rows)])
-            if a.rank() == h.rows:
-                break
-        transformed = a @ h
-        hacked = dataclasses.replace(code, check_matrix=transformed)
-        assert exact_distance_small(hacked) == baseline
+        assert exact_distance_small(_row_transformed(code, rng)) == baseline
+
+
+# q in {3, 4, 5, 7, 9} with every r | q+1, so eta != 1 is covered; n <= 10
+# keeps the exhaustive oracle inside the default deadline, and the tower
+# bound keeps each F_{q^2m} to milliseconds
+DISTANCE_SPECS = [(q, r, n) for q in (3, 4, 5, 7, 9) for r in range(1, q + 2)
+                  if (q + 1) % r == 0 for n in range(2, 11)
+                  if math.gcd(n, q) == 1 and q ** (2 * make_spec(q, r, n).m) <= 10**6
+                  and len(all_cosets(make_spec(q, r, n))) > 1]
+
+
+@given(spec_args=st.sampled_from(DISTANCE_SPECS), data=st.data())
+def test_exact_distance_matches_exhaustive_subset_oracle(spec_args, data):
+    """The search rooted at column 0 finds the smallest dependent column set
+    that ranking every subset finds, on MDS and non-MDS codes, under any
+    cap, and on a check matrix A*H with random invertible A."""
+    spec = make_spec(*spec_args)
+    leaders = [c.leader for c in all_cosets(spec)]
+    pick = data.draw(st.lists(st.sampled_from(leaders), min_size=1,
+                              max_size=len(leaders) - 1, unique=True))
+    cap = data.draw(st.none() | st.integers(min_value=1, max_value=spec.n))
+    transform = data.draw(st.none() | st.randoms(use_true_random=False))
+    code = build_code(spec, DefiningSet.from_leaders(spec, pick))
+    h = code.check_matrix
+    limit = h.rows + 1 if cap is None else min(cap, h.rows + 1)
+    expected = oracles.dependent_subset_min_size(h.field, [list(r) for r in h.entries],
+                                                 limit, rank=oracles.rref_rank)
+    if transform is not None:
+        code = _row_transformed(code, transform)
+    assert exact_distance_small(code, cap=cap) == expected
 
 
 # ---------------------------------------------------------------------------
