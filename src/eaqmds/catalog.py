@@ -45,6 +45,8 @@ TENTH_RANGE_NOTE = (
     "understate the proven maxima 6m+2 / 6m+4; rows above use the proven ranges"
 )
 
+_FAMILY_RANK = {f.value: i for i, f in enumerate(FAMILY_ORDER)}
+
 
 class ConfigError(ValueError):
     """The run configuration is malformed."""
@@ -64,8 +66,7 @@ class CatalogRow:
     source_table: int | None = None
 
     def sort_key(self) -> tuple[int, int, int, int]:
-        order = [f.value for f in FAMILY_ORDER]
-        return (order.index(self.family), self.q, self.h or 0, self.d)
+        return (_FAMILY_RANK[self.family], self.q, self.h or 0, self.d)
 
     def serialized_fields(self) -> dict[str, object]:
         return {"family": self.family, "q": self.q, "h": self.h, "n": self.n,

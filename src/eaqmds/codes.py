@@ -145,9 +145,10 @@ def bch_delta(t: DefiningSet) -> int:
 
     Classes 1 + ri are consecutive in the index i, with wrap-around
     modulo n allowed.  A run starts at an index whose predecessor is absent.
+    Every s in Omega has 0 <= s < rn and s = 1 mod r, so i < n already.
     """
     n, r, rn = t.spec.n, t.spec.r, t.spec.rn
-    idx = {(((s - 1) % rn) // r) % n for s in t.elements}
+    idx = {(s - 1) % rn // r for s in t.elements}
     if len(idx) == n:
         return n + 1
     best = 0

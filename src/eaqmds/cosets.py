@@ -5,7 +5,8 @@ Omega = {1 + ri mod rn : 0 <= i < n}; no field elements are built.  A
 defining set T splits as T = T_ss | T_sas with T_ss = T & T^{-q}, and
 |T_ss| is the ebit count consumed downstream.
 
-DefiningSet.from_leaders and from_elements compute T_ss from scratch.
+DefiningSet.from_leaders passes the union of its cosets to
+from_elements, the one place that computes T_ss from scratch.
 DefiningSet.with_coset grows a set by one coset C: with T' = T | C,
 
     T' & -qT' = T_ss | (T' & -qC) | (C & -qT'),
@@ -13,13 +14,14 @@ DefiningSet.with_coset grows a set by one coset C: with T' = T | C,
 and C & -qT' = -q(T' & -qC) because -q maps -qC onto q^2 C = C.  A step
 therefore costs O(|C|) set lookups besides copying T, so a sweep over
 nested sets T_lo <= T_lo+1 <= ... (families.Construction.defining_sets)
-never recomputes the -q image of a whole set.
+never recomputes the -q image of a whole set.  A Hypothesis test
+(tests/test_library_fuzz.py) checks the fold against from_elements.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -136,36 +138,28 @@ def skew_partner(c: CyclotomicCoset) -> CyclotomicCoset:
 class DefiningSet:
     """A union of cyclotomic cosets with its skew decomposition.
 
-    t_ss = T & T^{-q} and t_sas = T \\ t_ss; both are unions of whole
-    cosets whenever T is.  Build one with from_leaders or from_elements,
-    and grow it with with_coset.
+    Only T (elements) and t_ss = T & T^{-q} are stored; leaders and
+    t_sas = T \\ t_ss are derived on access.  Both parts are unions of
+    whole cosets whenever T is.  Build one with from_leaders or
+    from_elements, and grow it with with_coset.
     """
 
     spec: CodeSpec
-    leaders: tuple[int, ...]
     elements: frozenset[int]
     t_ss: frozenset[int]
-    t_sas: frozenset[int] = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t_sas", self.elements - self.t_ss)
+    @property
+    def leaders(self) -> tuple[int, ...]:
+        """The sorted leaders of the cosets that T meets."""
+        return tuple(sorted({coset(self.spec, e).leader for e in self.elements}))
 
-    @classmethod
-    def _from_scratch(cls, spec: CodeSpec, leaders: Iterable[int],
-                      elements: frozenset[int]) -> DefiningSet:
-        image = frozenset(minus_q(spec, s) for s in elements)
-        return cls(spec=spec, leaders=tuple(sorted(leaders)), elements=elements,
-                   t_ss=elements & image)
+    @property
+    def t_sas(self) -> frozenset[int]:
+        return self.elements - self.t_ss
 
     @classmethod
     def from_leaders(cls, spec: CodeSpec, leaders: Iterable[int]) -> DefiningSet:
-        elems: set[int] = set()
-        leads: set[int] = set()
-        for s in leaders:
-            c = coset(spec, s)
-            leads.add(c.leader)
-            elems.update(c.elements)
-        return cls._from_scratch(spec, leads, frozenset(elems))
+        return cls.from_elements(spec, [e for s in leaders for e in coset(spec, s).elements])
 
     @classmethod
     def from_elements(cls, spec: CodeSpec, elements: Iterable[int],
@@ -176,14 +170,14 @@ class DefiningSet:
         for e in elems:
             if not in_omega(spec, e):
                 raise ValueError(f"{e} is not in Omega for {spec!r}")
-        leads = {min(coset(spec, e).elements) for e in elems}
         if check_closure:
             closed: set[int] = set()
             for e in elems:
                 closed.update(coset(spec, e).elements)
-            if closed != set(elems):
+            if closed != elems:
                 raise ValueError("element set is not a union of whole cosets")
-        return cls._from_scratch(spec, leads, elems)
+        return cls(spec=spec, elements=elems,
+                   t_ss=elems & frozenset(minus_q(spec, s) for s in elems))
 
     def with_coset(self, s: int) -> DefiningSet:
         """T | C(s), with t_ss grown from C(s) alone; T itself when C(s) <= T."""
@@ -194,8 +188,7 @@ class DefiningSet:
         # T' & -qC, and its -q image C & -qT'
         meet = [z for z in (minus_q(self.spec, x) for x in c.elements) if z in elements]
         t_ss = self.t_ss.union(meet, (minus_q(self.spec, z) for z in meet))
-        return DefiningSet(spec=self.spec, leaders=tuple(sorted({*self.leaders, c.leader})),
-                           elements=elements, t_ss=t_ss)
+        return DefiningSet(spec=self.spec, elements=elements, t_ss=t_ss)
 
 
 def t_minus_q(t: DefiningSet) -> frozenset[int]:

@@ -86,6 +86,17 @@ def test_decompose_output(capsys):
     assert "dual-containing: false" in out
 
 
+def test_decompose_json_bytes(capsys):
+    # leaders and t_sas are derived from T and T_ss; their printed values stay
+    code, out, _ = run_cli(capsys, "decompose", "5", "2", "26",
+                           "--cosets", "13,15,17,19", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["leaders"], payload["t_sas"]) == ([7, 9, 11, 13], [11, 13, 15])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f5b67efa7bc1b70cde08d80a4ea1294bb0c890751a559ca3a45781202a11dfa2")
+
+
 def test_code_command_with_oracles(capsys):
     code, out, _ = run_cli(capsys, "code", "5", "3", "8", "--cosets", "1,4,7",
                            "--rank-oracle", "--exact-distance")

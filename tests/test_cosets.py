@@ -291,3 +291,15 @@ def test_from_elements_checks_closure_and_membership():
         DefiningSet.from_elements(spec, [12])        # even: not in Omega
     t = DefiningSet.from_elements(spec, [15], check_closure=False)
     assert t.elements == frozenset({15})
+
+
+def test_unclosed_canary_set_derives_leaders_and_t_sas():
+    # {13, 15} splits C_11 = {11, 15}; the verify canary and the code CLI's
+    # "not closed" error both start from this set
+    spec = make_spec(5, 2, 26)
+    t = DefiningSet.from_elements(spec, [13, 15], check_closure=False)
+    assert t.leaders == (11, 13)
+    assert t.t_ss == frozenset()
+    assert t.t_sas == frozenset({13, 15})
+    with pytest.raises(ValueError, match=r"^element set is not a union of whole cosets$"):
+        DefiningSet.from_elements(spec, [13, 15])
