@@ -49,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int,
                         help="worker processes for instance fan-out")
     common.add_argument("--distance-cap", type=int,
-                        help="maximum weight searched by the exact-distance oracle")
+                        help="largest exact distance `code` reports; its MDS verdict "
+                             "still searches up to n-k+1")
     common.add_argument("--distance-budget", type=int,
                         help="subset-evaluation budget of the exact-distance oracle")
     common.add_argument("--config", help="JSON file with RunConfig keys; flags override it")

@@ -509,16 +509,6 @@ class Poly:
                 terms.append(f"{c}" if i == 0 else (f"x^{i}" if c == 1 else f"{c}*x^{i}"))
         return "Poly(" + " + ".join(terms) + ")"
 
-    def __add__(self, other: Poly) -> Poly:
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
-
     def __mul__(self, other: Poly) -> Poly:
         f = self.field
         a, b = self.coeffs, other.coeffs
@@ -584,12 +574,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
-
-    def is_zero(self) -> bool:
-        return all(all(v == 0 for v in row) for row in self.entries)
-
-    def transpose(self) -> Matrix:
-        return Matrix(self.field, list(zip(*self.entries)), cols=self.rows)
 
     def conj_transpose(self) -> Matrix:
         """Entrywise x -> x^q conjugation combined with transposition."""
@@ -670,7 +654,12 @@ class Matrix:
         return len(self.rref()[1])
 
     def right_nullspace(self) -> Matrix:
-        """Rows form a basis of {v : self . v^T = 0}."""
+        """Rows form a basis of {v : self . v^T = 0}.
+
+        rref gives R = E . self with E invertible.  The vector of free column
+        fc has 1 there and -R[i][fc] at the i-th pivot column, so R . v^T = 0
+        and hence self . v^T = E^-1 . R . v^T = 0: no product needs checking.
+        """
         red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]

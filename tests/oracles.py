@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the library's own algorithms:
 determinants go through permutation expansion, row reduction through
-schoolbook Gauss-Jordan, generator polynomials through one linear factor
-and one root power at a time, divisibility through schoolbook long
-division, multiplicative orders through repeated multiplication, and run
-lengths through exhaustive window scans.
+schoolbook Gauss-Jordan, products A . B^T one entry at a time,
+generator polynomials through one linear factor and one root power at a
+time, divisibility through schoolbook long division, multiplicative orders
+through repeated multiplication, and run lengths through exhaustive window
+scans.
 """
 
 from __future__ import annotations
@@ -163,6 +164,19 @@ def gauss_jordan_rref(field, rows):
                 m[i] = [field.sub(v, field.mul(g, w)) for v, w in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
+
+
+def times_transpose_is_zero(field, a_rows, b_rows) -> bool:
+    """Whether A . B^T = 0: each entry summed one Field.mul and Field.add
+    at a time, with no row kernel."""
+    for a in a_rows:
+        for b in b_rows:
+            acc = 0
+            for x, y in zip(a, b, strict=True):
+                acc = field.add(acc, field.mul(x, y))
+            if acc:
+                return False
+    return True
 
 
 def rref_rank(field, rows) -> int:

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from eaqmds import families
+from eaqmds.cli import main
 from eaqmds.codes import bch_delta
 from eaqmds.cosets import DefiningSet, coset, is_skew_symmetric, skew_partner
 from eaqmds.families import (FamilyError, FamilyId, VerificationError,
@@ -290,6 +291,34 @@ def test_verification_error_names_instance():
         instance_params(bad, 3, c.defining_set(3))
     assert str(err.value) == "Q2P1_NEGA q=5 k=3: |T_ss|=4 but the family predicts 3"
     assert c.predicted_tss(3) == 4
+
+
+# each oracle of instance_params, made to disagree by one, fails with its own text
+ORACLE_MISMATCHES = {
+    "rank": ("ebits_rank_oracle", lambda code: len(code.defining_set.t_ss) + 1,
+             "Q2P1_NEGA q=5 k=3: rank oracle 5 != |T_ss| 4"),
+    "exact": ("exact_distance_small", lambda code, budget: code.n - code.dim,
+              "Q2P1_NEGA q=5 k=3: exact distance 7 != n-k+1 = 8"),
+}
+
+
+@pytest.mark.parametrize("oracle", ORACLE_MISMATCHES)
+def test_oracle_mismatch_error_texts(monkeypatch, oracle):
+    name, fake, text = ORACLE_MISMATCHES[oracle]
+    monkeypatch.setattr(families, name, fake)
+    c = construction(NEGA, 5)
+    with pytest.raises(VerificationError) as err:
+        instance_params(c, 3, c.defining_set(3), rank_oracle=True, exact_distance=True)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("oracle", ORACLE_MISMATCHES)
+def test_verify_prints_oracle_mismatch_as_fail_line_and_exits_1(monkeypatch, capsys, oracle):
+    name, fake, text = ORACLE_MISMATCHES[oracle]
+    monkeypatch.setattr(families, name, fake)
+    assert main(["verify", "--q-max", "5", "--families", "Q2P1_NEGA"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"[FAIL] Q2P1_NEGA q=5 k=3 -> - (rank-oracle) :: {text}" in out
 
 
 # ---------------------------------------------------------------------------

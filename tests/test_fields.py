@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from eaqmds.codes import build_code
+from eaqmds.cosets import DefiningSet, all_cosets, make_spec
 from eaqmds.fields import (_TABLE_MAX_ORDER, Field, Matrix, Poly, _is_irreducible, extend,
                            is_prime, make_field, prime_power_split)
 
@@ -12,6 +14,7 @@ import oracles
 
 F5 = make_field(5)
 F7 = make_field(7)
+F9 = make_field(3, 2)
 F25 = make_field(5, 2)
 F27 = make_field(3, 3)
 F49 = make_field(7, 2)
@@ -286,7 +289,8 @@ def test_poly_divmod_roundtrip(a, b):
     if not pb:
         return
     q, r = divmod(pa, pb)
-    assert q * pb + r == pa
+    total = itertools.zip_longest((q * pb).coeffs, r.coeffs, fillvalue=0)
+    assert Poly(F49, [F49.add(x, y) for x, y in total]) == pa
     assert r.degree < pb.degree
 
 
@@ -328,7 +332,7 @@ def test_rank_plus_nullity_and_orthogonality():
         ns = m.right_nullspace()
         assert m.rank() + ns.rows == m.cols
         if ns.rows:
-            assert (m @ ns.transpose()).is_zero()
+            assert oracles.times_transpose_is_zero(F25, entries, ns.entries)
             assert ns.rank() == ns.rows
 
 
@@ -479,12 +483,38 @@ def test_rref_and_nullspace_match_schoolbook_gauss_jordan(field, shape, data):
 
     ns = m.right_nullspace()
     assert ns.rows == cols - len(expected_pivots)
-    for v in ns.entries:
-        for row in entries:
-            acc = 0
-            for x, y in zip(row, v):
-                acc = ref.add(acc, ref.mul(x, y))
-            assert acc == 0
+    assert oracles.times_transpose_is_zero(ref, entries, ns.entries)
+
+
+NULLSPACE_FIELDS = [F9, F25, F49, F1369]
+# one spec per field order for random codes over that field: q = 3, 5, 7, 37
+NULLSPACE_SPECS = {9: (3, 4, 10), 25: (5, 2, 13), 49: (7, 2, 10), 1369: (37, 2, 12)}
+
+
+def _code_generator(field, data, rows, cols):
+    """The banded generator matrix of a random code over field, of
+    dimension at least 1; the drawn shape is not used."""
+    spec = make_spec(*NULLSPACE_SPECS[field.order])
+    leaders = [c.leader for c in all_cosets(spec)]
+    pick = data.draw(st.lists(st.sampled_from(leaders), min_size=1,
+                              max_size=len(leaders) - 1, unique=True))
+    code = build_code(spec, DefiningSet.from_leaders(spec, pick))
+    return oracles.generator_matrix(code).entries
+
+
+@pytest.mark.parametrize("field", NULLSPACE_FIELDS, ids=repr)
+@given(data=st.data())
+def test_right_nullspace_is_a_basis_of_the_kernel(field, data):
+    shape = data.draw(st.sampled_from(MATRIX_SHAPES + [_code_generator]))
+    rows = data.draw(st.integers(min_value=1, max_value=6))
+    cols = data.draw(st.integers(min_value=1, max_value=8))
+    entries = shape(field, data, rows, cols)
+    m = Matrix(field, entries)
+    ns = m.right_nullspace()
+    assert ns.cols == m.cols
+    assert oracles.times_transpose_is_zero(field, entries, ns.entries)
+    assert oracles.rref_rank(field, entries) + ns.rows == m.cols
+    assert oracles.rref_rank(field, ns.entries) == ns.rows
 
 
 def test_rank_of_a_1x1_matrix_builds_the_lookup_tables():
