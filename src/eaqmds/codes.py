@@ -6,15 +6,18 @@ cosets of their minimal polynomials over F_{q^2}: a coset's factors
 (x - omega^j), at most m of them, are multiplied in F_{q^(2m)}, the product
 is descended coefficientwise to F_{q^2}, and the minimal polynomials are
 multiplied there.  Descent doubles as the closure check, because a set that
-splits a coset leaves a coefficient outside F_{q^2}.  g must divide
-x^n - eta.
+splits a coset leaves a coefficient outside F_{q^2}.  The roots omega^j are
+taken in ascending j, each the previous root times omega^(j - j_prev), with
+one power per distinct gap: a run of classes 1 + ri costs one multiplication
+in F_{q^(2m)} per root.  g must divide x^n - eta; the quotient is kept as
+the check polynomial h, of degree k = n - |T|.
 
-The generator matrix is a band: its k = n - |T| rows are the shifts of g,
-|T| + 1 wide.  The parity-check matrix is a null-space basis of it, which
-keeps the downstream rank oracle invariant under row-basis changes.  H is
+The generator matrix is a band: its k rows are the shifts of g, |T| + 1
+wide.  The parity-check matrix is a null-space basis of it.  H is
 orthogonal to G by construction (`Matrix.right_nullspace`); the tests check
-G H^T = 0.  Elimination and matrix products run only over each row's nonzero
-span, so both cost O(k |T|^2), not O(k^2 n).
+G H^T = 0.  Elimination runs only over each row's nonzero span, so it costs
+O(k |T|^2), not O(k^2 n).  The shifts of the reversed h span the same row
+space as H, which `eaq.ebits_rank_oracle` uses instead of H itself.
 """
 
 from __future__ import annotations
@@ -76,13 +79,18 @@ def build_tower(spec: CodeSpec) -> Tower:
 
 @dataclass(frozen=True)
 class ConstacyclicCode:
-    """An eta-constacyclic code of length n over F_{q^2}."""
+    """An eta-constacyclic code of length n over F_{q^2}.
+
+    gen_poly is g, check_poly is h = (x^n - eta)/g of degree dim, and the
+    rows of check_matrix are a basis of the kernel of the generator matrix.
+    """
 
     spec: CodeSpec
     defining_set: DefiningSet
     gen_poly: Poly
     dim: int
     check_matrix: Matrix
+    check_poly: Poly
 
     @property
     def n(self) -> int:
@@ -107,6 +115,16 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
     tower = build_tower(spec)
     top, q2 = tower.top, tower.q2
 
+    # omega^j for each j of T in ascending order, stepped from the previous
+    # root by omega^gap; the power of each distinct gap is computed once
+    roots, steps, root, prev = {}, {}, 1, 0
+    for j in sorted(t.elements):
+        step = steps.get(j - prev)
+        if step is None:
+            step = steps[j - prev] = top.pow(tower.omega, j - prev)
+        root = roots[j] = top.mul(root, step)
+        prev = j
+
     # one minimal polynomial per coset; a coset T only partly covers has a
     # factor with a coefficient outside F_{q^2}, and descent rejects it
     gen_poly = Poly.one(q2)
@@ -116,7 +134,7 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
         rest.difference_update(orbit)
         factor = Poly.one(top)
         for j in orbit:
-            factor = factor * Poly(top, [top.neg(top.pow(tower.omega, j)), 1])
+            factor = factor * Poly(top, [top.neg(roots[j]), 1])
         try:
             coeffs = [tower.embed.descend(c) for c in factor.coeffs]
         except ValueError as exc:
@@ -126,7 +144,8 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
         gen_poly = gen_poly * Poly(q2, coeffs)
 
     x_n_minus_eta = Poly.binomial(q2, spec.n, q2.neg(tower.eta))
-    if x_n_minus_eta % gen_poly:
+    check_poly, remainder = divmod(x_n_minus_eta, gen_poly)
+    if remainder:
         raise InconsistentRootSystemError(
             "generator polynomial does not divide x^n - eta")
 
@@ -135,7 +154,7 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
     check_matrix = Matrix(q2, rows, cols=spec.n).right_nullspace()
 
     return ConstacyclicCode(spec=spec, defining_set=t, gen_poly=gen_poly, dim=k,
-                            check_matrix=check_matrix)
+                            check_matrix=check_matrix, check_poly=check_poly)
 
 
 def bch_delta(t: DefiningSet) -> int:

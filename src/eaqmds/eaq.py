@@ -2,8 +2,17 @@
 
 The ebit count is computed two independent ways: combinatorially as |T_ss|
 from the defining-set decomposition, and algebraically as rank(H H^dagger)
-of the parity-check matrix.  The two must agree; a mismatch is a hard error
+of a parity-check matrix.  The two must agree; a mismatch is a hard error
 because it can only come from an implementation defect.
+
+The rank oracle takes H from the check polynomial h = (x^n - eta)/g that
+`codes.build_code` keeps.  The |T| shifts of the reversed h, h~, span the
+kernel of the generator matrix, so their Gram matrix H H^dagger is Hermitian
+Toeplitz: entry (i, j) is the lag a(j - i) = sum_u h~_{u+j-i} conj(h~_u),
+and a(-d) = conj(a(d)).  Any other parity-check matrix is A H with A
+invertible, and rank(A M A^dagger) = rank(M), so the count does not depend
+on the basis.  It costs |T| dot products of length at most k + 1 and one
+|T| x |T| rank, and it shares nothing with the |T_ss| set arithmetic.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from dataclasses import dataclass
 
 from .codes import ConstacyclicCode
 from .cosets import CodeSpec, DefiningSet
+from .fields import Matrix
 
 
 class EbitOracleMismatch(RuntimeError):
@@ -60,9 +70,23 @@ class EaqParams:
 
 
 def ebits_rank_oracle(code: ConstacyclicCode) -> int:
-    """Needed ebits as rank(H H^dagger) over F_{q^2}."""
-    h = code.check_matrix
-    return (h @ h.conj_transpose()).rank()
+    """Needed ebits as rank(H H^dagger) over F_{q^2}.
+
+    H is the banded matrix whose |T| rows are the shifts of the reversed
+    check polynomial h~, so H H^dagger is the Hermitian Toeplitz matrix of
+    the lags a(d) = sum_u h~_{u+d} conj(h~_u) (module docstring).  It has
+    the rank of N N^dagger for every other basis N of the same row space.
+    """
+    f = code.check_poly.field
+    h = code.check_poly.coeffs[::-1]
+    h_conj = [f.conj(x) for x in h]
+    size = code.n - code.dim
+    upper = [f.dot(h[d:], h_conj) for d in range(min(size, len(h)))]
+    upper += [0] * (size - len(upper))
+    lower = [f.conj(a) for a in upper]
+    # row i is conj(a(i)), ..., conj(a(1)), a(0), ..., a(size - 1 - i)
+    gram = [lower[i:0:-1] + upper[:size - i] for i in range(size)]
+    return Matrix(f, gram, cols=size).rank()
 
 
 def derive_eaq(code: ConstacyclicCode) -> EaqParams:

@@ -57,7 +57,16 @@ class FamilyError(ValueError):
 
 
 class VerificationError(RuntimeError):
-    """A family instance failed one of its mandatory cross-checks."""
+    """A family instance failed one of its mandatory cross-checks.
+
+    verified is the strongest verification level that had run, as
+    EaqParams.verified would have carried it.  Its default lets the error
+    unpickle from its message alone when it crosses a process pool.
+    """
+
+    def __init__(self, message: str, verified: str = VERIFIED_BCH):
+        super().__init__(message)
+        self.verified = verified
 
 
 @dataclass(frozen=True)
@@ -164,8 +173,8 @@ def instance_params(c: Construction, k: int, t: DefiningSet, *,
     rank(H H^dagger) = |T_ss|; exact_distance adds the exhaustive distance
     sweep wherever distance_check_feasible allows it.  The code is built at
     most once, and only for those two checks.  Every failure is collected
-    into one VerificationError that names the instance; the returned params
-    carry the strongest verification level that ran.
+    into one VerificationError that names the instance; the error and the
+    returned params carry the strongest verification level that ran.
     """
     if not c.lo <= k <= c.hi:
         raise FamilyError(f"k={k} outside the proved range [{c.lo}, {c.hi}] "
@@ -196,7 +205,7 @@ def instance_params(c: Construction, k: int, t: DefiningSet, *,
     if not params.mds:
         failures.append(f"Singleton equality fails for {params}")
     if failures:
-        raise VerificationError(f"{c.label(k)}: " + "; ".join(failures))
+        raise VerificationError(f"{c.label(k)}: " + "; ".join(failures), verified)
     return params
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .catalog import ConfigError
 from .codes import DEFAULT_DISTANCE_BUDGET, CoefficientDescentError, build_code
 from .cosets import DefiningSet, make_spec
-from .eaq import VERIFIED_RANK
 from .families import (Construction, FamilyId, VerificationError, applicable_combos,
                        construction, fan_out, instance_params, odd_prime_powers)
 
@@ -62,7 +61,7 @@ def _check_instance(c: Construction, k: int, t: DefiningSet, exact_distance: boo
         params = instance_params(c, k, t, rank_oracle=True,
                                  exact_distance=exact_distance, distance_budget=budget)
     except VerificationError as exc:  # surfaced as a FAIL line, not a crash
-        return InstanceReport(c.label(k), "-", VERIFIED_RANK, [str(exc)])
+        return InstanceReport(c.label(k), "-", exc.verified, [str(exc)])
     return InstanceReport(c.label(k), str(params), params.verified)
 
 

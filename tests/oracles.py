@@ -2,17 +2,18 @@
 
 Everything here deliberately avoids the library's own algorithms:
 determinants go through permutation expansion, row reduction through
-schoolbook Gauss-Jordan, products A . B^T one entry at a time,
-generator polynomials through one linear factor and one root power at a
-time, divisibility through schoolbook long division, multiplicative orders
-through repeated multiplication, and run lengths through exhaustive window
-scans.
+schoolbook Gauss-Jordan, matrix and polynomial products one term at a
+time, generator polynomials through one linear factor and one root power
+at a time, divisibility through schoolbook long division, multiplicative
+orders through repeated multiplication, and run lengths through exhaustive
+window scans.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from eaqmds.codes import build_tower
 from eaqmds.fields import Matrix
 
 
@@ -184,20 +185,65 @@ def rref_rank(field, rows) -> int:
     return len(gauss_jordan_rref(field, rows)[1])
 
 
-def constacyclic_generator_product(tower, elements):
-    """Coefficients of prod (x - omega^j) over the elements, multiplied one
-    linear factor at a time in the tower's top field, then descended."""
+def matrix_product(field, a_rows, b_rows):
+    """A . B, each entry summed one Field.mul and Field.add at a time."""
+    out = []
+    for a in a_rows:
+        row = []
+        for col in zip(*b_rows):
+            acc = 0
+            for x, y in zip(a, col, strict=True):
+                acc = field.add(acc, field.mul(x, y))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def hermitian_gram(field, rows):
+    """H . H^dagger by matrix_product, with H^dagger conjugated entry by entry."""
+    return matrix_product(field, rows, [[field.conj(x) for x in col] for col in zip(*rows)])
+
+
+def poly_product(field, a, b):
+    """Schoolbook product of two coefficient lists, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+def _linear_factor_product(tower, roots):
+    """Coefficients of prod (x - root), multiplied one linear factor at a
+    time in the tower's top field, then descended."""
     top = tower.top
     coeffs = [1]
-    for j in sorted(elements):
-        root = 1
-        for _ in range(j):
-            root = top.mul(root, tower.omega)
+    for root in roots:
         # (c_0 + c_1 x + ...) (x - root)
         shifted = [0] + coeffs
         scaled = [top.mul(root, c) for c in coeffs] + [0]
         coeffs = [top.sub(a, b) for a, b in zip(shifted, scaled)]
     return [tower.embed.descend(c) for c in coeffs]
+
+
+def constacyclic_generator_product(tower, elements):
+    """prod (x - omega^j) over the elements, each root omega^j taken by j
+    repeated multiplications."""
+    roots = []
+    for j in sorted(elements):
+        root = 1
+        for _ in range(j):
+            root = tower.top.mul(root, tower.omega)
+        roots.append(root)
+    return _linear_factor_product(tower, roots)
+
+
+def generator_poly(spec, t):
+    """g of the defining set t, each root omega^j taken by its own
+    top.pow(omega, j) rather than stepped from the previous root."""
+    tower = build_tower(spec)
+    return _linear_factor_product(tower, [tower.top.pow(tower.omega, j)
+                                          for j in sorted(t.elements)])
 
 
 def generator_matrix(code):

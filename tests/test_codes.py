@@ -193,6 +193,24 @@ def test_generator_polynomial_equals_product_of_linear_factors_m1(q, r, n):
         assert list(code.gen_poly.coeffs) == expected
 
 
+# (q, r, n) with their tower degree m: two m = 1, and m = 2 and m = 4 towers
+# F_{q^2m} above the 1024 lookup-table cap (2401, 28561 and 6561)
+ROOT_SPECS = [(5, 3, 8), (37, 2, 12), (7, 2, 10), (13, 2, 17), (3, 2, 41)]
+
+
+@given(spec_args=st.sampled_from(ROOT_SPECS), data=st.data())
+def test_stepped_roots_give_the_generator_of_one_power_per_root(spec_args, data):
+    """build_code steps from root to root by the power of each gap; any union
+    of cosets has irregular gaps, and g must be the product whose every root
+    omega^j comes from its own top.pow."""
+    spec = make_spec(*spec_args)
+    leaders = [c.leader for c in all_cosets(spec)]
+    pick = data.draw(st.lists(st.sampled_from(leaders), min_size=1,
+                              max_size=len(leaders) - 1, unique=True))
+    t = DefiningSet.from_leaders(spec, pick)
+    assert list(build_code(spec, t).gen_poly.coeffs) == oracles.generator_poly(spec, t)
+
+
 def test_empty_defining_set_rejected():
     spec = make_spec(5, 2, 26)
     with pytest.raises(ValueError):

@@ -1,13 +1,10 @@
-import dataclasses
-import random
-
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from eaqmds.codes import build_code
-from eaqmds.cosets import DefiningSet, make_spec
+from eaqmds.codes import build_code, build_tower
+from eaqmds.cosets import DefiningSet, all_cosets, make_spec, minus_q
 from eaqmds.eaq import EaqParams, EbitOracleMismatch, derive_eaq, ebits_rank_oracle
 from eaqmds.families import FamilyId, construction, instance_params
-from eaqmds.fields import Matrix
 
 import eaqmds.eaq as eaq_module
 
@@ -54,20 +51,62 @@ def test_rank_oracle_zero_iff_dual_containing():
     assert ebits_rank_oracle(code) == 0
 
 
-def test_rank_oracle_invariant_under_row_basis_change():
-    _, _, code = _setup(5, 3, 8, elements=[1, 4, 7])
-    h = code.check_matrix
-    field = h.field
-    rng = random.Random(2718)
-    baseline = ebits_rank_oracle(code)
-    for _ in range(5):
-        while True:
-            a = Matrix(field, [[rng.randrange(field.order) for _ in range(h.rows)]
-                               for _ in range(h.rows)])
-            if a.rank() == h.rows:
-                break
-        hacked = dataclasses.replace(code, check_matrix=a @ h)
-        assert ebits_rank_oracle(hacked) == baseline
+# one spec per field: F_9, F_25, F_49, and F_{37^2} above the table cap
+GRAM_SPECS = [(3, 4, 10), (5, 2, 13), (7, 2, 10), (37, 2, 12)]
+
+
+def _draw_defining_set(spec, data):
+    """A random closed T with 1 <= |T| < n, and the ebit count its kind
+    forces: a dual-containing T (T_ss empty, c = 0), a T with T = T^{-q}
+    (c = |T|), or any union of cosets (c not forced)."""
+    kind = data.draw(st.sampled_from(["c=0", "c=|T|", "any"]))
+    order = data.draw(st.permutations(all_cosets(spec)))
+    count = data.draw(st.integers(min_value=1, max_value=len(order)))
+    chosen: set[int] = set()
+    for c in order[:count]:
+        partner = {minus_q(spec, x) for x in c.elements}
+        if kind == "c=0" and partner & (chosen | set(c.elements)):
+            continue
+        grown = chosen | set(c.elements) | (partner if kind == "c=|T|" else set())
+        if len(grown) < spec.n:
+            chosen = grown
+    assume(chosen)
+    t = DefiningSet.from_elements(spec, chosen)
+    forced = {"c=0": 0, "c=|T|": len(chosen), "any": None}[kind]
+    return t, forced
+
+
+@pytest.mark.parametrize("spec_args", GRAM_SPECS, ids=lambda a: f"GF({a[0]}^2)")
+@given(data=st.data())
+def test_rank_oracle_equals_schoolbook_rank_of_h_h_dagger(spec_args, data):
+    """The Toeplitz oracle equals the rank of H H^dagger multiplied out term
+    by term, for the check matrix and for A H with a random invertible A,
+    and g h = x^n - eta holds for the check polynomial it reads."""
+    spec = make_spec(*spec_args)
+    t, forced = _draw_defining_set(spec, data)
+    code = build_code(spec, t)
+    f = code.check_poly.field
+    eta = build_tower(spec).eta
+    assert oracles.poly_product(f, list(code.gen_poly.coeffs), list(code.check_poly.coeffs)) \
+        == [f.neg(eta)] + [0] * (spec.n - 1) + [1]
+
+    h = [list(row) for row in code.check_matrix.entries]
+    size = len(h)
+    # A = L U with L unit lower and U upper triangular, U's diagonal nonzero
+    unit = st.integers(min_value=1, max_value=f.order - 1)
+    entry = st.integers(min_value=0, max_value=f.order - 1)
+    lower = [[data.draw(entry) if j < i else int(i == j) for j in range(size)]
+             for i in range(size)]
+    upper = [[data.draw(unit) if j == i else data.draw(entry) if j > i else 0
+              for j in range(size)] for i in range(size)]
+    a_h = oracles.matrix_product(f, oracles.matrix_product(f, lower, upper), h)
+
+    c = ebits_rank_oracle(code)
+    assert c == oracles.rref_rank(f, oracles.hermitian_gram(f, h))
+    assert c == oracles.rref_rank(f, oracles.hermitian_gram(f, a_h))
+    assert c == len(t.t_ss)
+    if forced is not None:
+        assert c == forced
 
 
 # ---------------------------------------------------------------------------

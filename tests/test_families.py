@@ -318,6 +318,17 @@ def test_verify_prints_oracle_mismatch_as_fail_line_and_exits_1(monkeypatch, cap
     monkeypatch.setattr(families, name, fake)
     assert main(["verify", "--q-max", "5", "--families", "Q2P1_NEGA"]) == 1
     out = capsys.readouterr().out.splitlines()
+    # the label is the strongest level that ran: at k=3 the exact sweep runs
+    # after the rank oracle, whichever of the two fails
+    assert f"[FAIL] Q2P1_NEGA q=5 k=3 -> - (exact-distance) :: {text}" in out
+
+
+def test_verify_fail_line_without_exact_sweep_is_labelled_rank_oracle(monkeypatch, capsys):
+    name, fake, text = ORACLE_MISMATCHES["rank"]
+    monkeypatch.setattr(families, name, fake)
+    assert main(["verify", "--q-max", "5", "--families", "Q2P1_NEGA",
+                 "--no-exact-distance"]) == 1
+    out = capsys.readouterr().out.splitlines()
     assert f"[FAIL] Q2P1_NEGA q=5 k=3 -> - (rank-oracle) :: {text}" in out
 
 
