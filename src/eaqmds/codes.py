@@ -162,12 +162,15 @@ def bch_delta(t: DefiningSet) -> int:
 
     Classes 1 + ri are consecutive in the index i, with wrap-around
     modulo n allowed.  A run starts at an index whose predecessor is absent.
+    When T has at most one run start (t.run_starts, kept by the defining
+    set's builders) T is empty, Omega or a single run, and the bound is
+    |T| + 1 at once.  Only a set of several runs is scanned for the longest.
     Every s in Omega has 0 <= s < rn and s = 1 mod r, so i < n already.
     """
+    if t.run_starts <= 1:
+        return len(t.elements) + 1
     n, r, rn = t.spec.n, t.spec.r, t.spec.rn
     idx = {(s - 1) % rn // r for s in t.elements}
-    if len(idx) == n:
-        return n + 1
     best = 0
     for i in idx:
         if (i - 1) % n not in idx:

@@ -14,8 +14,20 @@ DefiningSet.with_coset grows a set by one coset C: with T' = T | C,
 and C & -qT' = -q(T' & -qC) because -q maps -qC onto q^2 C = C.  A step
 therefore costs O(|C|) set lookups besides copying T, so a sweep over
 nested sets T_lo <= T_lo+1 <= ... (families.Construction.defining_sets)
-never recomputes the -q image of a whole set.  A Hypothesis test
-(tests/test_library_fuzz.py) checks the fold against from_elements.
+never recomputes the -q image of a whole set.
+
+The run structure is folded the same way.  run_starts counts the classes
+s of T whose predecessor s - r (mod rn) is not in T, so T is one run of
+consecutive classes 1 + ri exactly when run_starts <= 1 (0 for T empty or
+T = Omega).  Adding C changes the count only at the new classes N = C \\ T
+and their successors N + r:
+
+    run_starts(T') = run_starts(T)
+                     + sum over s in N | (N + r) of [s in T', s - r not in T']
+                     - sum over s in N | (N + r) of [s in T,  s - r not in T].
+
+A Hypothesis test (tests/test_library_fuzz.py) checks both folds against
+from_elements.
 """
 
 from __future__ import annotations
@@ -138,8 +150,9 @@ def skew_partner(c: CyclotomicCoset) -> CyclotomicCoset:
 class DefiningSet:
     """A union of cyclotomic cosets with its skew decomposition.
 
-    Only T (elements) and t_ss = T & T^{-q} are stored; leaders and
-    t_sas = T \\ t_ss are derived on access.  Both parts are unions of
+    Stored are T (elements), t_ss = T & T^{-q} and run_starts, the number
+    of classes of T whose predecessor s - r (mod rn) is not in T; leaders
+    and t_sas = T \\ t_ss are derived on access.  Both parts are unions of
     whole cosets whenever T is.  Build one with from_leaders or
     from_elements, and grow it with with_coset.
     """
@@ -147,6 +160,7 @@ class DefiningSet:
     spec: CodeSpec
     elements: frozenset[int]
     t_ss: frozenset[int]
+    run_starts: int
 
     @property
     def leaders(self) -> tuple[int, ...]:
@@ -177,18 +191,32 @@ class DefiningSet:
             if closed != elems:
                 raise ValueError("element set is not a union of whole cosets")
         return cls(spec=spec, elements=elems,
-                   t_ss=elems & frozenset(minus_q(spec, s) for s in elems))
+                   t_ss=elems & frozenset(minus_q(spec, s) for s in elems),
+                   run_starts=_run_starts(spec, elems, elems))
 
     def with_coset(self, s: int) -> DefiningSet:
-        """T | C(s), with t_ss grown from C(s) alone; T itself when C(s) <= T."""
-        c = coset(self.spec, s)
-        if self.elements.issuperset(c.elements):
+        """T | C(s), with t_ss and run_starts grown from C(s) alone; T itself
+        when C(s) <= T."""
+        spec = self.spec
+        c = coset(spec, s)
+        new = [x for x in c.elements if x not in self.elements]
+        if not new:
             return self
-        elements = self.elements.union(c.elements)
+        elements = self.elements.union(new)
         # T' & -qC, and its -q image C & -qT'
-        meet = [z for z in (minus_q(self.spec, x) for x in c.elements) if z in elements]
-        t_ss = self.t_ss.union(meet, (minus_q(self.spec, z) for z in meet))
-        return DefiningSet(spec=self.spec, elements=elements, t_ss=t_ss)
+        meet = [z for z in (minus_q(spec, x) for x in c.elements) if z in elements]
+        t_ss = self.t_ss.union(meet, (minus_q(spec, z) for z in meet))
+        # only the new classes and their successors can start or stop a run
+        touched = set(new).union((x + spec.r) % spec.rn for x in new)
+        run_starts = (self.run_starts + _run_starts(spec, elements, touched)
+                      - _run_starts(spec, self.elements, touched))
+        return DefiningSet(spec=spec, elements=elements, t_ss=t_ss, run_starts=run_starts)
+
+
+def _run_starts(spec: CodeSpec, elements: frozenset[int], classes: Iterable[int]) -> int:
+    """How many of classes are in elements without their predecessor s - r."""
+    r, rn = spec.r, spec.rn
+    return sum(1 for s in classes if s in elements and (s - r) % rn not in elements)
 
 
 def t_minus_q(t: DefiningSet) -> frozenset[int]:

@@ -10,9 +10,12 @@ at the verification level they need.
 
 The defining sets of one construction are nested, T_k = T_{k-1} | C(start
 + r*k), so they are built as one sweep: Construction.defining_sets adds one
-coset per index, and DefiningSet.with_coset grows T_ss from that coset
-alone.  A combo of K instances costs K coset computations, not O(K^2), and
-the sweep holds only the current set, so each T_k is checked and dropped.
+coset per index, and DefiningSet.with_coset grows T_ss and the count of
+run starts from that coset alone.  A combo of K instances costs K coset
+computations, not O(K^2), and the single-run check (bch_delta) reads the
+count instead of rescanning T_k; only a set of several runs, which no
+family produces, is scanned.  The sweep holds only the current set, so
+each T_k is checked and dropped.
 """
 
 from __future__ import annotations

@@ -540,9 +540,6 @@ class Poly:
                 rem.pop()
         return Poly(f, quot), Poly(f, rem)
 
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
-
 
 # ----------------------------------------------------------------------
 # Matrices over a field

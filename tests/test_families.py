@@ -4,12 +4,13 @@ import pytest
 
 from eaqmds import families
 from eaqmds.cli import main
-from eaqmds.codes import bch_delta
 from eaqmds.cosets import DefiningSet, coset, is_skew_symmetric, skew_partner
 from eaqmds.families import (FamilyError, FamilyId, VerificationError,
                              applicable_combos, construction, family_spec,
                              instance_params, odd_prime_powers)
 from eaqmds.verify import _beyond_range_notes
+
+import oracles
 
 NEGA = FamilyId.Q2P1_NEGA
 CONSTA = FamilyId.Q2P1_CONSTA
@@ -225,7 +226,9 @@ def test_family_sets_are_single_runs():
         c = construction(family, q, h)
         for k in c.indices():
             t = c.defining_set(k)
-            assert bch_delta(t) == len(t.elements) + 1, c.label(k)
+            # the window oracle, not bch_delta, which reads t.run_starts
+            assert oracles.longest_consecutive_window(c.spec, t.elements) == len(t.elements), \
+                c.label(k)
 
 
 def test_instance_params_singleton_equality():

@@ -324,18 +324,6 @@ def test_rank_matches_minor_expansion_oracle():
         assert m.rank() == oracles.minor_rank(F49, entries)
 
 
-def test_rank_plus_nullity_and_orthogonality():
-    rng = random.Random(99)
-    for _ in range(10):
-        entries = [[rng.randrange(25) for _ in range(7)] for _ in range(4)]
-        m = Matrix(F25, entries)
-        ns = m.right_nullspace()
-        assert m.rank() + ns.rows == m.cols
-        if ns.rows:
-            assert oracles.times_transpose_is_zero(F25, entries, ns.entries)
-            assert ns.rank() == ns.rows
-
-
 def _random_invertible(field, size, rng):
     while True:
         entries = [[rng.randrange(field.order) for _ in range(size)] for _ in range(size)]

@@ -8,17 +8,21 @@ oracles of instance_params only on short codes, so one example stays fast.
 
 The incremental step DefiningSet.with_coset, folded over any sequence of
 classes (any order, repeats allowed), gives the set from_leaders builds
-from scratch; onto a set that is not closed under q^2 it gives what
-from_elements builds from the union.
+from scratch, run starts included; onto a set that is not closed under
+q^2 it gives what from_elements builds from the union.  bch_delta, which
+reads the folded run starts, equals the exhaustive window oracle on every
+set of such a sweep.
 """
 
 import math
 
 from hypothesis import example, given, settings, strategies as st
 
-from eaqmds.codes import build_code
+from eaqmds.codes import bch_delta, build_code
 from eaqmds.cosets import DefiningSet, all_cosets, coset, make_spec, omega_set
 from eaqmds.families import FamilyId, construction, instance_params
+
+import oracles
 
 SMALL_INT = st.integers(min_value=-3, max_value=40)
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
@@ -27,7 +31,7 @@ TOWER_ORDER_CAP = 10**7
 
 
 def _fields(t: DefiningSet) -> tuple:
-    return t.elements, t.t_ss, t.t_sas, t.leaders
+    return t.elements, t.t_ss, t.t_sas, t.leaders, t.run_starts
 
 
 def _call(fn, *args, **kwargs):
@@ -109,3 +113,20 @@ def test_folding_the_step_equals_the_from_scratch_build(data):
         t = t.with_coset(s)
         raw.update(coset(spec, s).elements)
     assert _fields(t) == _fields(DefiningSet.from_elements(spec, raw, check_closure=False))
+
+
+@given(spec=_spec(), picks=st.lists(st.integers(min_value=0, max_value=59), max_size=12))
+@example(spec=make_spec(3, 1, 1), picks=[0])  # rn = 1: Omega = {0}
+@example(spec=make_spec(5, 2, 1), picks=[0])  # n = 1, r = 2: Omega = {1}
+@example(spec=make_spec(5, 2, 13), picks=[0, 3])  # C(1) | C(7) = {1, 25} | {7, 19}: three runs
+def test_bch_delta_equals_the_longest_window_along_a_sweep(spec, picks):
+    omega = omega_set(spec)
+    t = DefiningSet.from_elements(spec, ())
+    for s in [omega[i % spec.n] for i in picks]:
+        assert bch_delta(t) == oracles.longest_consecutive_window(spec, t.elements) + 1
+        t = t.with_coset(s)
+    assert bch_delta(t) == oracles.longest_consecutive_window(spec, t.elements) + 1
+    for c in all_cosets(spec):
+        t = t.with_coset(c.leader)
+    assert t.elements == frozenset(omega) and t.run_starts == 0
+    assert bch_delta(t) == spec.n + 1
