@@ -186,9 +186,11 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
     """Exact minimum distance by smallest-dependent-column search.
 
     Returns the minimum number of linearly dependent columns of the
-    parity-check matrix, or None when every subset of size <= cap is
-    independent (distance exceeds the cap).  Raises DistanceBudgetExceeded
-    when more than `budget` column subsets would have to be evaluated.
+    parity-check matrix.  Without a cap the result is always an int, since
+    any rows(H) + 1 columns are dependent; None comes back only when a cap
+    is given and every subset of size <= cap is independent (distance
+    exceeds the cap).  Raises DistanceBudgetExceeded when more than `budget`
+    column subsets would have to be evaluated.
 
     Only subsets that contain column 0 are searched.  The code is closed
     under the weight-keeping shift (c_0, ..., c_{n-1}) -> (eta*c_{n-1},
@@ -205,10 +207,11 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
     limit = m + 1 if cap is None else min(cap, m + 1)
     f = h.field
     scale, sub_scaled, inv = f.scale, f.sub_scaled, f.inv
-    columns = [list(col) for col in zip(*h.entries)]
     zero = [0] * m
 
-    best: int | None = None
+    # the smallest dependent subset size found so far; limit + 1 while
+    # no subset of size <= limit has been found
+    best = limit + 1
     visits = 0
 
     # Depth-first over column subsets in index order, with column 0 the only
@@ -217,17 +220,15 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
     # elimination per surviving column.  A reduced-to-zero column closes a
     # dependent subset; pruning at `best` is sound because deeper subsets
     # are strictly larger.
-    def dfs(remaining: list[tuple[int, list[int]]], depth: int) -> None:
+    def dfs(remaining: list[list[int]], depth: int) -> None:
         nonlocal best, visits
         if depth == m:
             # full pivot rank: any remaining column is a certain dependency
-            if remaining and m + 1 <= limit and (best is None or m + 1 < best):
+            if remaining and m + 1 < best:
                 best = m + 1
             return
-        for idx, (j, col) in enumerate(remaining if depth else remaining[:1]):
-            if best is not None and depth + 1 >= best:
-                return
-            if depth + 1 > limit:
+        for idx, col in enumerate(remaining if depth else remaining[:1]):
+            if depth + 1 >= best:
                 return
             visits += 1
             if visits > budget:
@@ -236,22 +237,15 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
             if col == zero:
                 best = depth + 1
                 continue
-            if idx + 1 == len(remaining) or depth + 2 > limit:
-                continue
-            if best is not None and depth + 2 >= best:
+            if idx + 1 == len(remaining) or depth + 2 >= best:
                 continue
             pos = next(i for i in range(m) if col[i])
             norm = col if col[pos] == 1 else scale(inv(col[pos]), col)
-            children = []
-            for j2, col2 in remaining[idx + 1:]:
-                c = col2[pos]
-                if c:
-                    col2 = sub_scaled(col2, c, norm)
-                children.append((j2, col2))
-            dfs(children, depth + 1)
+            dfs([sub_scaled(c, c[pos], norm) if c[pos] else c
+                 for c in remaining[idx + 1:]], depth + 1)
 
-    dfs(list(enumerate(columns)), 0)
-    return best
+    dfs([list(col) for col in zip(*h.entries)], 0)
+    return best if best <= limit else None
 
 
 def distance_check_feasible(n: int, redundancy: int, budget: int) -> bool:
@@ -291,5 +285,5 @@ def classical_mds_verdict(code: ConstacyclicCode,
     if code.bch_delta >= target:
         return MDS_BY_BCH
     if distance is None:
-        distance = exact_distance_small(code, cap=target, budget=budget)
+        distance = exact_distance_small(code, budget=budget)
     return MDS_BY_EXACT if distance == target else NOT_MDS

@@ -10,6 +10,7 @@ import eaqmds
 from eaqmds import cli, codes
 from eaqmds.cli import main
 from eaqmds.codes import exact_distance_small
+from eaqmds.cosets import all_cosets, make_spec
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,14 @@ def test_cosets_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["rn"] == 24 and len(payload["cosets"]) == 8
+
+
+def test_cosets_listed_by_leader_when_omega_ends_with_class_0(capsys):
+    # for r = 1, Omega in index order is 1, 2, ..., rn - 1, 0
+    assert [c.leader for c in all_cosets(make_spec(4, 1, 5))] == [0, 1, 2, 3, 4]
+    code, out, _ = run_cli(capsys, "cosets", "4", "1", "5")
+    assert code == 0
+    assert out.splitlines()[2] == "C_0 = {0}  skew-symmetric"
 
 
 def test_cosets_invalid_spec_exit_2(capsys):

@@ -303,9 +303,20 @@ def test_exact_distance_at_least_bch():
 
 
 def test_exact_distance_rooted_search_fits_small_budget():
-    # rooted at column 0 the search takes 29 subset evaluations; taking
-    # every column as the first one takes 92
-    assert exact_distance_small(_code(5, 3, 8, elements=[1, 4, 7]), budget=50) == 4
+    # the exact number of subsets the rooted search evaluates: a budget of
+    # `visits` settles the search and one less does not; taking every
+    # column as the first one takes 92 evaluations on the [8, 5] code.  The
+    # [8, 4] code closes a dependent set at a zero column mid-level, after
+    # which the rest of that level is pruned
+    code_8_5 = _code(5, 3, 8, elements=[1, 4, 7])
+    code_8_4 = _code(5, 3, 8, elements=[7, 16, 19, 22])
+    code_26 = _code(5, 2, 26, leaders=[13, 15, 17, 19])
+    for code, cap, visits, expected in [(code_8_5, None, 29, 4), (code_8_5, 3, 29, None),
+                                        (code_8_4, None, 35, 4),
+                                        (code_26, 4, 2626, None), (code_26, None, 245506, 8)]:
+        assert exact_distance_small(code, cap=cap, budget=visits) == expected
+        with pytest.raises(DistanceBudgetExceeded):
+            exact_distance_small(code, cap=cap, budget=visits - 1)
 
 
 def test_exact_distance_budget_error():

@@ -490,19 +490,31 @@ def _code_generator(field, data, rows, cols):
     return oracles.generator_matrix(code).entries
 
 
-@pytest.mark.parametrize("field", NULLSPACE_FIELDS, ids=repr)
-@given(data=st.data())
-def test_right_nullspace_is_a_basis_of_the_kernel(field, data):
-    shape = data.draw(st.sampled_from(MATRIX_SHAPES + [_code_generator]))
-    rows = data.draw(st.integers(min_value=1, max_value=6))
-    cols = data.draw(st.integers(min_value=1, max_value=8))
-    entries = shape(field, data, rows, cols)
+def _assert_nullspace_is_kernel_basis(field, entries):
     m = Matrix(field, entries)
     ns = m.right_nullspace()
     assert ns.cols == m.cols
     assert oracles.times_transpose_is_zero(field, entries, ns.entries)
     assert oracles.rref_rank(field, entries) + ns.rows == m.cols
     assert oracles.rref_rank(field, ns.entries) == ns.rows
+
+
+@pytest.mark.parametrize("field", NULLSPACE_FIELDS, ids=repr)
+@given(data=st.data())
+def test_right_nullspace_is_a_basis_of_the_kernel(field, data):
+    shape = data.draw(st.sampled_from(MATRIX_SHAPES + [_code_generator]))
+    rows = data.draw(st.integers(min_value=1, max_value=6))
+    cols = data.draw(st.integers(min_value=1, max_value=8))
+    _assert_nullspace_is_kernel_basis(field, shape(field, data, rows, cols))
+
+
+@pytest.mark.parametrize("field", NULLSPACE_FIELDS, ids=repr)
+def test_right_nullspace_of_a_dense_4x7_matrix(field):
+    # Hypothesis favours small shapes and the property test above cannot
+    # take an @example, so this fixes one dense draw of at least 4x7
+    rng = random.Random(field.order)
+    entries = [[rng.randrange(field.order) for _ in range(7)] for _ in range(4)]
+    _assert_nullspace_is_kernel_basis(field, entries)
 
 
 def test_rank_of_a_1x1_matrix_builds_the_lookup_tables():
