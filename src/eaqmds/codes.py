@@ -199,6 +199,10 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
     in its support, and that support is a smallest dependent column set.
     Row transforms A*H of the check matrix keep the code, and so the proof.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     n, k = code.n, code.dim
     if not 0 < k < n:
         raise ValueError("distance oracle needs a nondegenerate code")

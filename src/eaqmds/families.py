@@ -21,7 +21,6 @@ each T_k is checked and dropped.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
@@ -245,6 +244,8 @@ def fan_out(fn: Callable, tasks: list, workers: int) -> list:
     """
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]

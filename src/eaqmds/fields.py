@@ -22,7 +22,10 @@ row at a time through three `Field` kernels: `scale`, `sub_scaled` and
 time a kernel or a matrix operation needs them, from discrete logarithms to
 its canonical primitive element (see `Field._ensure_tables`), so that a
 kernel costs one or two list lookups per entry.  Larger fields run the same
-kernels on digit-by-digit arithmetic.
+kernels on the per-element methods: `add` and `neg` work digit by digit, and
+`mul` is one integer product of the two operands packed with their base-p
+digits spaced apart (Kronecker substitution, see `_packing`), folded back
+by the modulus.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import Sequence
 
 FIELD_ORDER_BUDGET = 2**32
 _TABLE_MAX_ORDER = 1024
+_PACK_TABLE_MAX = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -77,9 +81,10 @@ class Field:
     """F_p[x]/(modulus) acting on integer element codes.
 
     make_field builds the canonical field F_{p^degree}.  Built directly with
-    a monic modulus that is not irreducible, the digit-by-digit arithmetic
-    (add, neg, sub, mul, pow) is still that of the quotient ring, which the
-    modulus search relies on; inv, the tables and the kernels need a field.
+    a monic modulus that is not irreducible, the table-free arithmetic (add,
+    neg and sub digit by digit, mul packed and reduced by the modulus, pow)
+    is still that of the quotient ring, which the modulus search relies on;
+    inv, the tables and the kernels need a field.
     """
 
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...]):
@@ -88,16 +93,27 @@ class Field:
         self.modulus = modulus
         self.order = p**degree
         # rows for x^(degree+j) reduced mod modulus, j = 0..degree-2
-        self._red: list[tuple[int, ...]] = []
+        red: list[list[int]] = []
         if degree > 1:
             row = [(-c) % p for c in modulus[:degree]]
-            self._red.append(tuple(row))
+            red.append(row)
             for _ in range(degree - 2):
                 over = row[-1]
                 row = [0] + row[:-1]
                 if over:
-                    row = [(c + over * r) % p for c, r in zip(row, self._red[0])]
-                self._red.append(tuple(row))
+                    row = [(c + over * r) % p for c, r in zip(row, red[0])]
+                red.append(row)
+        width, chunk, table = _packing(p, degree)
+        lanes = [width * i for i in range(2 * degree - 1)]  # bit offset of coefficient i
+        # mul's constants: the chunk table and order, the offsets of an
+        # operand's higher chunks, one coefficient's mask, the low `degree`
+        # coefficients' mask, (offset of x^(degree+j), its packed reduced
+        # row) for each j, the low offsets from the top down, and p
+        self._packed = (table, p**chunk, lanes[chunk:degree:chunk], (1 << width) - 1,
+                        (1 << width * degree) - 1,
+                        [(s, sum(c << t for c, t in zip(row, lanes)))
+                         for s, row in zip(lanes[degree:], red)],
+                        lanes[degree - 1::-1], p)
         self._mul_table: list[int] | None = None
         self._add_table: list[int] | None = None
         self._neg_table: list[int] | None = None
@@ -160,23 +176,24 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a * self.order + b]
-        p = self.p
-        if a == 0 or b == 0:
+        if not a or not b:
             return 0
-        da, db = self.decode(a), self.decode(b)
-        l = self.degree
-        conv = [0] * (2 * l - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        for j in range(2 * l - 2, l - 1, -1):
-            over = conv[j] % p
-            if over:
-                red = self._red[j - l]
-                for i in range(l):
-                    conv[i] += over * red[i]
-        return self.encode([c % p for c in conv[:l]])
+        # one integer product of the packed operands (see `_packing`)
+        table, chunk_order, shifts, mask, low_mask, folds, reads, p = self._packed
+        pa, pb = table[a % chunk_order], table[b % chunk_order]
+        for s in shifts:
+            a //= chunk_order
+            b //= chunk_order
+            pa |= table[a % chunk_order] << s
+            pb |= table[b % chunk_order] << s
+        prod = pa * pb
+        low = prod & low_mask
+        for s, row in folds:  # coefficient of x^(degree+j), mod p, times x^(degree+j) reduced
+            low += (prod >> s & mask) % p * row
+        code = 0
+        for s in reads:
+            code = code * p + (low >> s & mask) % p
+        return code
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -288,7 +305,7 @@ class Field:
         """Build the add/mul/neg/inv/conj tables of a field of order <= 1024.
 
         Multiplication goes through discrete logarithms to the canonical
-        primitive element g: order - 2 digit-by-digit products give
+        primitive element g: order - 2 packed products give
         exp[i] = g^i, and every other product, inverse and conjugate is
         exp[log a + log b], exp[-log a] or exp[q log a].  Addition is
         digit-wise: the row of a one-digit element d*p^i moves digit i of
@@ -339,11 +356,43 @@ class Field:
             self._conj_table = [0] + [exp[log[a] * q % (n - 1)] for a in range(1, n)]
 
 
+@lru_cache(maxsize=None)
+def _packing(p: int, degree: int) -> tuple[int, int, Sequence[int]]:
+    """(width, chunk, table) of the packed product in every ring F_p[x]/(f) of this degree.
+
+    A polynomial of degree < `degree` packs into one integer with coefficient
+    i at bit width*i (Kronecker substitution), so the product of two packed
+    operands carries coefficient k of the product polynomial at bit width*k.
+    That coefficient is at most degree*(p-1)^2; folding the degree - 1 high
+    coefficients, each taken mod p, onto the low ones through the reduced
+    powers of x adds at most (degree-1)*(p-1)^2 more.  The width keeps
+    (2*degree-1)*(p-1)^2 below 2^width, so no coefficient ever carries into
+    the next.
+
+    An operand packs a chunk of base-p digits at a time: table[c] is the
+    packed form of every code c < p^chunk.  A chunk is half the digits,
+    rounded up, or fewer where that table would pass _PACK_TABLE_MAX entries.
+    One digit packs as itself, so a one-digit chunk past that size is
+    range(p), which holds no entries.  The table is shared by the field and
+    by every candidate ring of its modulus search.
+    """
+    width = ((2 * degree - 1) * (p - 1) ** 2).bit_length()
+    chunk = (degree + 1) // 2
+    while chunk > 1 and p**chunk > _PACK_TABLE_MAX:
+        chunk -= 1
+    if p**chunk > _PACK_TABLE_MAX:
+        return width, chunk, range(p)
+    table = [0]
+    for i in range(chunk):  # codes below p^(i+1) from those below p^i
+        table = [t | d << width * i for d in range(p) for t in table]
+    return width, chunk, table
+
+
 def _is_irreducible(p: int, f: tuple[int, ...]) -> bool:
     """Rabin's irreducibility test for a monic f of degree d >= 2 over F_p.
 
     The test runs in the ring R = F_p[x]/(f).  Field(p, d, f) computes in R
-    for any monic f, irreducible or not, because its digit-by-digit add, mul
+    for any monic f, irreducible or not, because its table-free add, mul
     and pow only reduce by f.  f is irreducible iff x^(p^d) = x in R and,
     for each prime t | d, u = x^(p^(d/t)) - x is a unit of R.  Once
     x^(p^d) = x holds, f is squarefree and its irreducible factors have

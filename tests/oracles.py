@@ -5,8 +5,8 @@ determinants go through permutation expansion, row reduction through
 schoolbook Gauss-Jordan, matrix and polynomial products one term at a
 time, generator polynomials through one linear factor and one root power
 at a time, divisibility through schoolbook long division, multiplicative
-orders through repeated multiplication, and run lengths through exhaustive
-window scans.
+orders through repeated multiplication, field products through the base-p
+digits of each code, and run lengths through exhaustive window scans.
 """
 
 from __future__ import annotations
@@ -73,6 +73,30 @@ def long_division_remainder(field, dividend, divisor):
         while rem and rem[-1] == 0:
             rem.pop()
     return rem
+
+
+def schoolbook_mul(field, a, b):
+    """Product of two codes of F_p[x]/(modulus): decode both to their base-p
+    digits, convolve, cancel the terms of degree >= l against the monic
+    modulus from the top down, and encode the low l digits."""
+    p, l = field.p, field.degree
+    conv = [0] * (2 * l - 1)
+    for i, x in enumerate(field.decode(a)):
+        for j, y in enumerate(field.decode(b)):
+            conv[i + j] += x * y
+    for k in range(2 * l - 2, l - 1, -1):  # subtract c * x^(k-l) * modulus
+        c = conv[k] % p
+        for i, m in enumerate(field.modulus):
+            conv[k - l + i] -= c * m
+    return field.encode([c % p for c in conv[:l]])
+
+
+def schoolbook_pow(field, a, e):
+    """a^e for e >= 0 by e schoolbook products."""
+    acc = 1
+    for _ in range(e):
+        acc = schoolbook_mul(field, acc, a)
+    return acc
 
 
 def order_by_iteration(field, code) -> int:

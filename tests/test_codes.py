@@ -302,21 +302,46 @@ def test_exact_distance_at_least_bch():
         assert d >= code.bch_delta
 
 
-def test_exact_distance_rooted_search_fits_small_budget():
+def test_exact_distance_rooted_search_fits_small_budget(monkeypatch):
     # the exact number of subsets the rooted search evaluates: a budget of
     # `visits` settles the search and one less does not; taking every
     # column as the first one takes 92 evaluations on the [8, 5] code.  The
     # [8, 4] code closes a dependent set at a zero column mid-level, after
-    # which the rest of that level is pruned
+    # which the rest of that level is pruned.  `eliminations` counts the
+    # column reductions (sub_scaled calls) of one search: a node whose
+    # children could only tie `best` builds no reduced level for them
     code_8_5 = _code(5, 3, 8, elements=[1, 4, 7])
     code_8_4 = _code(5, 3, 8, elements=[7, 16, 19, 22])
     code_26 = _code(5, 2, 26, leaders=[13, 15, 17, 19])
-    for code, cap, visits, expected in [(code_8_5, None, 29, 4), (code_8_5, 3, 29, None),
-                                        (code_8_4, None, 35, 4),
-                                        (code_26, 4, 2626, None), (code_26, None, 245506, 8)]:
+    field = code_8_5.check_matrix.field
+    assert code_8_4.check_matrix.field is field and code_26.check_matrix.field is field
+    calls = []
+    sub_scaled = field.sub_scaled
+
+    def counting_sub_scaled(xs, g, ys):
+        calls.append(g)
+        return sub_scaled(xs, g, ys)
+
+    monkeypatch.setattr(field, "sub_scaled", counting_sub_scaled)
+    for code, cap, visits, eliminations, expected in [
+            (code_8_5, None, 29, 25, 4), (code_8_5, 3, 29, 20, None),
+            (code_8_4, None, 35, 25, 4),
+            (code_26, 4, 2626, 1539, None), (code_26, None, 245506, 177118, 8)]:
+        calls.clear()
         assert exact_distance_small(code, cap=cap, budget=visits) == expected
+        assert len(calls) == eliminations
         with pytest.raises(DistanceBudgetExceeded):
             exact_distance_small(code, cap=cap, budget=visits - 1)
+
+
+def test_exact_distance_rejects_bad_cap_and_budget():
+    code = _code(5, 3, 8, elements=[1, 4, 7])
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="cap"):
+            exact_distance_small(code, cap=cap)
+    with pytest.raises(ValueError, match="budget"):
+        exact_distance_small(code, budget=-1)
+    assert exact_distance_small(code, cap=1) is None
 
 
 def test_exact_distance_budget_error():

@@ -1,4 +1,8 @@
+import concurrent.futures
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -431,9 +435,19 @@ class _SerialPool:
     (3, 0, 8, []),
 ])
 def test_fan_out_pool_size(monkeypatch, workers, tasks, cpus, started):
-    monkeypatch.setattr(families, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "started", [])
     monkeypatch.setattr(families.os, "cpu_count", lambda: cpus)
     items = list(range(tasks))
     assert families.fan_out(abs, [-i for i in items], workers) == items
     assert _SerialPool.started == started
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # fan_out imports its process pool only when it starts one, so a serial
+    # run never pays for multiprocessing, subprocess and socket
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(families.__file__)))
+    probe = "import sys, eaqmds.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout == "[]\n"

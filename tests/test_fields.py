@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from eaqmds.codes import build_code
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec
-from eaqmds.fields import (_TABLE_MAX_ORDER, Field, Matrix, Poly, _is_irreducible, extend,
-                           is_prime, make_field, prime_power_split)
+from eaqmds.fields import (_PACK_TABLE_MAX, _TABLE_MAX_ORDER, Field, Matrix, Poly,
+                           _is_irreducible, _packing, extend, is_prime, make_field,
+                           prime_power_split)
 
 import oracles
 
@@ -183,6 +184,51 @@ def test_field_code_operators():
     assert F25.encode(F25.decode(x)) == x
     with pytest.raises(ValueError):
         F25.encode((1, 2, 3))  # more coordinates than the degree
+
+
+# ---------------------------------------------------------------------------
+# the packed product against the schoolbook product
+# ---------------------------------------------------------------------------
+
+# fields above the lookup-table cap, a 65537-element prime field, and
+# F_13[x]/(x^4 + 1), which is not a field (13 = 1 mod 8, so x^4 + 1 splits)
+PACKED_FIELDS = [make_field(p, d) for p, d in
+                 [(3, 8), (13, 4), (17, 4), (37, 2), (53, 2), (53, 4), (65537, 1)]]
+X4_PLUS_1 = Field(13, 4, (1, 0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS + [X4_PLUS_1], ids=repr)
+@given(data=st.data())
+def test_packed_mul_and_pow_equal_schoolbook(field, data):
+    a, b = data.draw(codes_of(field)), data.draw(codes_of(field))
+    e = data.draw(st.integers(min_value=0, max_value=40))
+    assert field.mul(a, b) == oracles.schoolbook_mul(field, a, b)
+    assert field.pow(a, e) == oracles.schoolbook_pow(field, a, e)
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+@given(data=st.data())
+def test_packed_inv_is_a_schoolbook_inverse(field, data):
+    a = data.draw(st.integers(min_value=1, max_value=field.order - 1))
+    assert oracles.schoolbook_mul(field, a, field.inv(a)) == 1
+
+
+def test_packed_ring_is_the_quotient_ring():
+    # x^4 = -1 in F_13[x]/(x^4 + 1), and x^4 + 1 = (x^2 + 5)(x^2 + 8) has zero divisors
+    assert not oracles.irreducible_by_trial_division(13, X4_PLUS_1.modulus)
+    x = 13
+    assert X4_PLUS_1.pow(x, 4) == 12
+    assert X4_PLUS_1.mul(X4_PLUS_1.encode((5, 0, 1)), X4_PLUS_1.encode((8, 0, 1))) == 0
+
+
+def test_packing_tables_are_shared_and_bounded():
+    # one table per (p, degree): the modulus search's rings use the field's own
+    assert X4_PLUS_1._packed[0] is make_field(13, 4)._packed[0]
+    for field in PACKED_FIELDS:
+        assert len(_packing(field.p, field.degree)[2]) <= max(_PACK_TABLE_MAX, field.p)
+    # one digit packs as itself: a large prime field keeps no entries
+    table = _packing(65537, 1)[2]
+    assert table == range(65537) and isinstance(table, range)
 
 
 # ---------------------------------------------------------------------------
