@@ -12,12 +12,16 @@ one power per distinct gap: a run of classes 1 + ri costs one multiplication
 in F_{q^(2m)} per root.  g must divide x^n - eta; the quotient is kept as
 the check polynomial h, of degree k = n - |T|.
 
-The generator matrix is a band: its k rows are the shifts of g, |T| + 1
-wide.  The parity-check matrix is a null-space basis of it.  H is
-orthogonal to G by construction (`Matrix.right_nullspace`); the tests check
-G H^T = 0.  Elimination runs only over each row's nonzero span, so it costs
-O(k |T|^2), not O(k^2 n).  The shifts of the reversed h span the same row
-space as H, which `eaq.ebits_rank_oracle` uses instead of H itself.
+The generator matrix is built already reduced, the systematic encoder of
+a cyclic code: row i is x^i - x^k (x^(i-k) mod g), the unit vector e_i on
+the first k columns and -x^(i-k) mod g on the last |T|.  Each remainder is
+the next one times x^-1 mod g, one row update of length |T| + 1, so the k
+rows cost O(k |T|) field operations.  The parity-check matrix H is the
+null-space basis of this matrix (`Matrix.right_nullspace`), whose row
+reduction finds nothing to eliminate; the reduced form is unique, so H is
+entry for entry the null space of the banded matrix of the shifts of g.
+The shifts of the reversed h span the same row space as H, which
+`eaq.ebits_rank_oracle` uses instead of H itself.
 """
 
 from __future__ import annotations
@@ -82,7 +86,10 @@ class ConstacyclicCode:
     """An eta-constacyclic code of length n over F_{q^2}.
 
     gen_poly is g, check_poly is h = (x^n - eta)/g of degree dim, and the
-    rows of check_matrix are a basis of the kernel of the generator matrix.
+    rows of check_matrix are the basis of the kernel of the generator matrix
+    that is the identity on the last n - dim columns: the null space of the
+    reduced generator matrix, whose rows come from x^(i-dim) mod g at
+    O(dim |T|) field operations.
     """
 
     spec: CodeSpec
@@ -108,6 +115,8 @@ class ConstacyclicCode:
 
 def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
     """Construct the code with defining set t and verify its structure."""
+    if t.spec != spec:
+        raise ValueError(f"defining set belongs to {t.spec!r}, not {spec!r}")
     if not t.elements:
         raise ValueError("defining set is empty")
     if any(not in_omega(spec, s) for s in t.elements):
@@ -149,8 +158,20 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
         raise InconsistentRootSystemError(
             "generator polynomial does not divide x^n - eta")
 
+    # reduced generator matrix: row i is x^i + x^k u_i, a multiple of g, with
+    # u_i = -x^(i-k) mod g.  From u_k = -1, u_(i-1) = u_i x^-1 mod g: the
+    # constant c of u_i cancels against c g/g_0 (g_0 != 0, as no root is 0)
+    # and the zero left in front is dropped.  Rows are tuples, which Matrix
+    # keeps as its entries without a copy
     k = spec.n - len(t.elements)
-    rows = [(0,) * i + gen_poly.coeffs + (0,) * (k - 1 - i) for i in range(k)]
+    sub_scaled = q2.sub_scaled
+    g_unit_const = q2.scale(q2.inv(gen_poly.coeffs[0]), gen_poly.coeffs)
+    u = [q2.neg(1)] + [0] * (gen_poly.degree - 1)
+    rows = [None] * k
+    for i in range(k - 1, -1, -1):
+        c = u[0]
+        u = sub_scaled(u + [0], c, g_unit_const)[1:] if c else u[1:] + [0]
+        rows[i] = (0,) * i + (1,) + (0,) * (k - 1 - i) + tuple(u)
     check_matrix = Matrix(q2, rows, cols=spec.n).right_nullspace()
 
     return ConstacyclicCode(spec=spec, defining_set=t, gen_poly=gen_poly, dim=k,

@@ -655,10 +655,12 @@ class Matrix:
         pivot row's nonzero span past the pivot column, because x - g*0 = x,
         and by the time a pivot row clears the rows above it, that span
         covers only non-pivot columns.  So a banded matrix costs in
-        proportion to its band: for the generator matrix of a code with
-        defining set T, the forward pass only scales and back-substitution
-        makes about |T| updates of at most |T| entries per pivot.  The
-        reduced form is unique, so this equals Gauss-Jordan elimination.
+        proportion to its band: the Hermitian Toeplitz Gram that
+        `eaq.ebits_rank_oracle` ranks has no lag past deg h, so it is banded
+        when deg h is small against its size.  A matrix already in reduced
+        form, such as the generator matrix `codes.build_code` hands to
+        `right_nullspace`, costs no update at all.  The reduced form is
+        unique, so this equals Gauss-Jordan elimination.
         """
         f = self.field
         f._ensure_tables()

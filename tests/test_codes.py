@@ -217,6 +217,116 @@ def test_empty_defining_set_rejected():
         build_code(spec, DefiningSet.from_leaders(spec, []))
 
 
+def test_defining_set_of_another_spec_rejected():
+    # the code's bch_delta and ebit counts would read the set's n = 26
+    spec, other = make_spec(5, 3, 8), make_spec(5, 2, 26)
+    message = f"defining set belongs to {other!r}, not {spec!r}"
+    for leaders in ([7], []):  # checked before the empty set is
+        with pytest.raises(ValueError) as err:
+            build_code(spec, DefiningSet.from_leaders(other, leaders))
+        assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# parity-check matrix
+# ---------------------------------------------------------------------------
+
+def _oracle_null_space(code):
+    """Null-space basis of the banded generator matrix through schoolbook
+    Gauss-Jordan: 1 at each free column, minus the reduced entries at the
+    pivot columns."""
+    g = oracles.generator_matrix(code)
+    f, n = g.field, code.n
+    red, pivots = oracles.gauss_jordan_rref(f, g.entries)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = f.neg(row[fc])
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _assert_check_matrix_is_the_null_space(code, gauss_jordan=True):
+    """H = [-U^T | I] with every reduced generator row [e_i | u_i] read back
+    from H a multiple of g.  These rows span the code and H is orthogonal to
+    them, so H is the one null-space basis that is the identity on the last
+    n - k columns; with gauss_jordan, H also equals the oracle's basis."""
+    h, k = code.check_matrix, code.dim
+    f, t = h.field, code.n - k
+    assert [row[k:] for row in h.entries] == [
+        tuple(int(i == j) for j in range(t)) for i in range(t)]
+    g = list(code.gen_poly.coeffs)
+    for i in range(k):
+        row = [0] * i + [1] + [0] * (k - 1 - i) + [f.neg(r[i]) for r in h.entries]
+        assert oracles.long_division_remainder(f, row, g) == [], i
+    if gauss_jordan:
+        assert h.entries == _oracle_null_space(code)
+
+
+@pytest.mark.parametrize("combo", applicable_combos(odd_prime_powers(13)),
+                         ids=lambda combo: f"{combo[0].name}-q{combo[1]}-h{combo[2]}")
+def test_check_matrix_is_the_banded_generator_null_space(combo):
+    """Every family instance with q <= 13.  Gauss-Jordan costs O(k^2 n)
+    schoolbook steps, so it runs where k <= 80, on 61 of the 97 instances;
+    the other 36 would take about 25 times as long as those 61."""
+    c = construction(*combo)
+    for k in c.indices():
+        code = build_code(c.spec, c.defining_set(k))
+        _assert_check_matrix_is_the_null_space(code, gauss_jordan=code.dim <= 80)
+
+
+# a negacyclic spec, a constacyclic one with r = 4, and F_{37^2} above the
+# 1024 lookup-table cap; each has a one-class coset, so |T| = 1 and k = 1
+NULL_SPACE_SPECS = [(5, 2, 26), (7, 4, 10), (37, 2, 12)]
+
+
+@given(spec_args=st.sampled_from(NULL_SPACE_SPECS), data=st.data())
+def test_check_matrix_of_random_defining_sets_is_the_null_space(spec_args, data):
+    spec = make_spec(*spec_args)
+    leaders = [c.leader for c in all_cosets(spec)]
+    pick = data.draw(st.lists(st.sampled_from(leaders), min_size=1, unique=True))
+    _assert_check_matrix_is_the_null_space(
+        build_code(spec, DefiningSet.from_leaders(spec, pick)))
+
+
+@pytest.mark.parametrize("spec_args", NULL_SPACE_SPECS)
+def test_check_matrix_of_one_class_or_one_free_column(spec_args):
+    spec = make_spec(*spec_args)
+    leaders = [c.leader for c in all_cosets(spec)]
+    single = next(c.leader for c in all_cosets(spec) if len(c.elements) == 1)
+    rest = [s for s in leaders if s != single]
+    for pick, dim in [([single], spec.n - 1), (rest, 1)]:
+        code = build_code(spec, DefiningSet.from_leaders(spec, pick))
+        assert code.dim == dim
+        _assert_check_matrix_is_the_null_space(code)
+
+
+def test_build_code_sub_scaled_calls(monkeypatch):
+    """One sub_scaled call per nonzero coefficient of h in the division of
+    x^n - eta by g, and one per reduced generator row whose remainder u_i
+    has a nonzero constant term, which here is every row; eliminating the
+    banded generator matrix took 125 and 311 calls."""
+    for args, leaders, calls_expected in [((5, 2, 26), [13, 15, 17, 19], 39),
+                                          ((9, 2, 82), [41, 43], 159)]:
+        spec = make_spec(*args)
+        t = DefiningSet.from_leaders(spec, leaders)
+        field = build_tower(spec).q2
+        calls = []
+        sub_scaled = field.sub_scaled
+
+        def counting_sub_scaled(xs, g, ys, sub_scaled=sub_scaled):
+            calls.append(g)
+            return sub_scaled(xs, g, ys)
+
+        monkeypatch.setattr(field, "sub_scaled", counting_sub_scaled)
+        code = build_code(spec, t)
+        monkeypatch.undo()
+        assert len(calls) == calls_expected
+        assert len(calls) == sum(map(bool, code.check_poly.coeffs)) + code.dim
+
+
 # ---------------------------------------------------------------------------
 # BCH bound
 # ---------------------------------------------------------------------------
