@@ -9,15 +9,20 @@ multiplied there.  Descent doubles as the closure check, because a set that
 splits a coset leaves a coefficient outside F_{q^2}.  The roots omega^j are
 taken in ascending j, each the previous root times omega^(j - j_prev), with
 one power per distinct gap: a run of classes 1 + ri costs one multiplication
-in F_{q^(2m)} per root.  g must divide x^n - eta; the quotient is kept as
-the check polynomial h, of degree k = n - |T|.
+in F_{q^(2m)} per root.
 
 The generator matrix is built already reduced, the systematic encoder of
 a cyclic code: row i is x^i - x^k (x^(i-k) mod g), the unit vector e_i on
-the first k columns and -x^(i-k) mod g on the last |T|.  Each remainder is
-the next one times x^-1 mod g, one row update of length |T| + 1, so the k
-rows cost O(k |T|) field operations.  The parity-check matrix H is the
-null-space basis of this matrix (`Matrix.right_nullspace`), whose row
+the first k columns and -x^(i-k) mod g on the last |T|, with k = n - |T|.
+The remainders come from one recurrence, u_j = -x^-j mod g, each the
+previous one times x^-1 mod g at one row update of length |T| + 1, so the k
+rows cost O(k |T|) field operations.  Run on to j = n, the same recurrence
+replaces the division of x^n - eta by g (h is the power series of 1/g,
+truncated; MacWilliams & Sloane, ch. 7): the constants it consumes are the
+coefficients of the check polynomial h = (x^n - eta)/g, of degree k, up to
+one factor, and u_n = -eta^-1, that is x^n = eta mod g, certifies that g
+divides x^n - eta.  The parity-check matrix H is the null-space basis of
+the reduced generator matrix (`Matrix.right_nullspace`), whose row
 reduction finds nothing to eliminate; the reduced form is unique, so H is
 entry for entry the null space of the banded matrix of the shifts of g.
 The shifts of the reversed h span the same row space as H, which
@@ -89,7 +94,9 @@ class ConstacyclicCode:
     rows of check_matrix are the basis of the kernel of the generator matrix
     that is the identity on the last n - dim columns: the null space of the
     reduced generator matrix, whose rows come from x^(i-dim) mod g at
-    O(dim |T|) field operations.
+    O(dim |T|) field operations.  h comes from the same x^-1 mod g
+    recurrence run on to n steps, whose last state, -eta^-1, certifies that
+    g divides x^n - eta (see the module docstring).
     """
 
     spec: CodeSpec
@@ -152,26 +159,30 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
                 f"{sorted(t.elements)} is not closed under multiplication by q^2") from exc
         gen_poly = gen_poly * Poly(q2, coeffs)
 
-    x_n_minus_eta = Poly.binomial(q2, spec.n, q2.neg(tower.eta))
-    check_poly, remainder = divmod(x_n_minus_eta, gen_poly)
-    if remainder:
+    # u_j = -x^-j mod g from u_0 = -1: u_j = u_(j-1) x^-1 mod g, where the
+    # constant c_j of u_(j-1) cancels against c_j g/g_0 (g_0 != 0, as no root
+    # is 0) and the zero left in front is dropped.  Telescoped, -1 = x^n u_n
+    # + (g/g_0) sum_j c_j x^(j-1): u_n = -eta^-1 exactly when g divides
+    # x^n - eta, and then h = (eta/g_0) sum_j c_j x^(j-1).  Row k - j of the
+    # reduced generator matrix is x^(k-j) + x^k u_j, a multiple of g.  Rows
+    # are tuples, which Matrix keeps as its entries without a copy
+    n, k = spec.n, spec.n - len(t.elements)
+    sub_scaled = q2.sub_scaled
+    g0_inv = q2.inv(gen_poly.coeffs[0])
+    g_unit_const = q2.scale(g0_inv, gen_poly.coeffs)
+    u = [q2.neg(1)] + [0] * (gen_poly.degree - 1)
+    consumed = []
+    rows = [None] * k
+    for j in range(1, n + 1):
+        c = u[0]
+        consumed.append(c)
+        u = sub_scaled(u + [0], c, g_unit_const)[1:] if c else u[1:] + [0]
+        if j <= k:
+            rows[k - j] = (0,) * (k - j) + (1,) + (0,) * (j - 1) + tuple(u)
+    if u != [q2.neg(q2.inv(tower.eta))] + [0] * (gen_poly.degree - 1):
         raise InconsistentRootSystemError(
             "generator polynomial does not divide x^n - eta")
-
-    # reduced generator matrix: row i is x^i + x^k u_i, a multiple of g, with
-    # u_i = -x^(i-k) mod g.  From u_k = -1, u_(i-1) = u_i x^-1 mod g: the
-    # constant c of u_i cancels against c g/g_0 (g_0 != 0, as no root is 0)
-    # and the zero left in front is dropped.  Rows are tuples, which Matrix
-    # keeps as its entries without a copy
-    k = spec.n - len(t.elements)
-    sub_scaled = q2.sub_scaled
-    g_unit_const = q2.scale(q2.inv(gen_poly.coeffs[0]), gen_poly.coeffs)
-    u = [q2.neg(1)] + [0] * (gen_poly.degree - 1)
-    rows = [None] * k
-    for i in range(k - 1, -1, -1):
-        c = u[0]
-        u = sub_scaled(u + [0], c, g_unit_const)[1:] if c else u[1:] + [0]
-        rows[i] = (0,) * i + (1,) + (0,) * (k - 1 - i) + tuple(u)
+    check_poly = Poly(q2, q2.scale(q2.mul(tower.eta, g0_inv), consumed[:k + 1]))
     check_matrix = Matrix(q2, rows, cols=spec.n).right_nullspace()
 
     return ConstacyclicCode(spec=spec, defining_set=t, gen_poly=gen_poly, dim=k,

@@ -305,13 +305,17 @@ class Field:
         """Build the add/mul/neg/inv/conj tables of a field of order <= 1024.
 
         Multiplication goes through discrete logarithms to the canonical
-        primitive element g: order - 2 packed products give
-        exp[i] = g^i, and every other product, inverse and conjugate is
-        exp[log a + log b], exp[-log a] or exp[q log a].  Addition is
-        digit-wise: the row of a one-digit element d*p^i moves digit i of
-        every code by d, and the row of any other element composes the row
-        of its top digit with the row of the rest.  Both tables are flat,
-        indexed [a*order + b].
+        primitive element g: order - 2 packed products give exp[i] = g^i,
+        and every other product, inverse and conjugate is exp[log a + log b],
+        exp[-log a] or exp[q log a].  The row of a in the mul table is one
+        gather of the window of exp that starts at log a, indexed by log b.
+        Addition is digit-wise.  Adding t*w, with w = p^(degree-1) the place
+        value of the top digit, moves only the top digit of b, which is
+        b + t*w mod order; so the row of a >= w is the row of a mod w
+        rotated left by a - a mod w.  Below w, the row of a one-digit
+        element d*p^i moves digit i of every code by d, and the row of any
+        other element composes the row of its top digit with the row of the
+        rest.  Both tables are flat, indexed [a*order + b].
         """
         if self._mul_table is not None or self.order > _TABLE_MAX_ORDER:
             return
@@ -325,17 +329,19 @@ class Field:
         for i, a in enumerate(exp):
             log[a] = i
         exp2 = exp + exp  # exp2[i + j] = g^(i+j) for 0 <= i, j < n - 1
-        logs = log[1:]
+        # [0] + exp2[log a:] read at 0 for b = 0 and at 1 + log b otherwise
+        gather = itemgetter(0, *[1 + lb for lb in log[1:]])
         mul = [0] * (n * n)
         for a in range(1, n):
             la = log[a]
-            mul[a * n + 1:a * n + n] = [exp2[la + lb] for lb in logs]
+            mul[a * n:a * n + n] = gather([0] + exp2[la:la + n - 1])
 
         add = [0] * (n * n)
         add[:n] = codes
         shift: dict[int, itemgetter] = {}
+        top = n // p
         w = 1
-        for a in range(1, n):
+        for a in range(1, top):
             if a == w * p:
                 w = a
             low = a % w
@@ -346,6 +352,10 @@ class Field:
             else:
                 row = shift[a - low](add[low * n:low * n + n])
             add[a * n:a * n + n] = row
+        for a in range(top, n):
+            low = a % top
+            turn = low * n + a - low  # rotate the row of low left by a - low
+            add[a * n:a * n + n] = add[turn:low * n + n] + add[low * n:turn]
 
         self._add_table = add
         self._mul_table = mul
@@ -533,11 +543,6 @@ class Poly:
     def one(cls, field: Field) -> Poly:
         return cls(field, (1,))
 
-    @classmethod
-    def binomial(cls, field: Field, n: int, constant: int) -> Poly:
-        """x^n + constant (pass a negated code for x^n - c)."""
-        return cls(field, (constant,) + (0,) * (n - 1) + (1,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -649,53 +654,73 @@ class Matrix:
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns.
 
-        The forward pass scales each pivot row to lead with 1 and clears the
-        rows below it; back-substitution then goes from the last pivot up and
-        clears the rows above.  A row update x - g*y runs only over the
-        pivot row's nonzero span past the pivot column, because x - g*0 = x,
-        and by the time a pivot row clears the rows above it, that span
-        covers only non-pivot columns.  So a banded matrix costs in
-        proportion to its band: the Hermitian Toeplitz Gram that
-        `eaq.ebits_rank_oracle` ranks has no lag past deg h, so it is banded
-        when deg h is small against its size.  A matrix already in reduced
-        form, such as the generator matrix `codes.build_code` hands to
-        `right_nullspace`, costs no update at all.  The reduced form is
-        unique, so this equals Gauss-Jordan elimination.
+        Rows are filed under the column of their first nonzero, and the
+        forward pass takes the columns in ascending order: the first row
+        filed under c is scaled to lead with 1 and clears column c of the
+        others, which are filed again.  A row update x - g*y runs only over
+        the pivot row's nonzero span past the pivot column, as x - g*0 = x.
+        When back-substitution clears the rows above a pivot row, that span
+        covers only non-pivot columns, so the rows each pivot clears are all
+        read before the back pass starts.  A banded matrix, such as the
+        Hermitian Toeplitz Gram of `eaq.ebits_rank_oracle`, costs in
+        proportion to its band, and a reduced one, such as the generator
+        matrix of `codes.build_code`, costs a scan of each row and no update:
+        a row is copied only when written.  The reduced form is unique, so
+        this equals Gauss-Jordan elimination.
         """
         f = self.field
         f._ensure_tables()
         scale, sub_scaled, inv = f.scale, f.sub_scaled, f.inv
-        rows = [list(r) for r in self.entries]
-        nrows = self.rows
 
-        def clear(r: int, c: int, targets: list[int]) -> None:
-            """Zero column c of the target rows with pivot row r (rows[r][c] == 1)."""
-            s, e = _nonzero_span(rows[r], c + 1)
-            tail = rows[r][s:e]
-            for i in targets:
-                row = rows[i]
+        def clear(pivot: Sequence[int], c: int, targets: list[list[int]]) -> None:
+            """Zero column c of the target rows with the pivot row (pivot[c] == 1)."""
+            if not targets:
+                return
+            s, e = _nonzero_span(pivot, c + 1)
+            tail = pivot[s:e]
+            for row in targets:
                 g = row[c]
                 row[c] = 0
                 row[s:e] = sub_scaled(row[s:e], g, tail)
 
+        waiting: dict[int, list[Sequence[int]]] = {}  # rows by their first nonzero column
+        for row in self.entries:
+            s, e = _nonzero_span(row, 0)
+            if s < e:
+                waiting.setdefault(s, []).append(row)
+        rows: list[Sequence[int]] = []
         pivots: list[int] = []
         for c in range(self.cols):
-            r = len(pivots)
-            if r == nrows:
-                break
-            hits = list(compress(range(r, nrows), map(itemgetter(c), rows[r:])))
-            if not hits:
+            if c not in waiting:
                 continue
-            rows[r], rows[hits[0]] = rows[hits[0]], rows[r]
-            lead = rows[r][c]
-            if lead != 1:
-                e = _nonzero_span(rows[r], c)[1]
-                rows[r][c:e] = scale(inv(lead), rows[r][c:e])
-            clear(r, c, hits[1:])  # the row swapped down to hits[0] is zero at c
+            pivot, *rest = waiting.pop(c)
+            if pivot[c] != 1:
+                e = _nonzero_span(pivot, c)[1]
+                pivot = list(pivot)
+                pivot[c:e] = scale(inv(pivot[c]), pivot[c:e])
+            rest = [list(row) for row in rest]
+            clear(pivot, c, rest)
+            for row in rest:
+                s, e = _nonzero_span(row, c + 1)
+                if s < e:
+                    waiting.setdefault(s, []).append(row)
+            rows.append(pivot)
             pivots.append(c)
+
+        row_of = {c: r for r, c in enumerate(pivots)}
+        hits: list[list[list[int]]] = [[] for _ in pivots]
+        end = pivots[-1] + 1 if pivots else 0
+        for i, c in enumerate(pivots):
+            row = rows[i]
+            above = [row_of[j] for j in compress(range(c + 1, end), islice(row, c + 1, end))
+                     if j in row_of]
+            if above:
+                row = rows[i] = list(row)
+                for r in above:
+                    hits[r].append(row)
         for r in range(len(pivots) - 1, 0, -1):
-            c = pivots[r]
-            clear(r, c, list(compress(range(r), map(itemgetter(c), rows[:r]))))
+            clear(rows[r], pivots[r], hits[r])
+        rows += [(0,) * self.cols] * (self.rows - len(rows))
         return Matrix(f, rows, cols=self.cols), tuple(pivots)
 
     def rank(self) -> int:
@@ -707,18 +732,22 @@ class Matrix:
         rref gives R = E . self with E invertible.  The vector of free column
         fc has 1 there and -R[i][fc] at the i-th pivot column, so R . v^T = 0
         and hence self . v^T = E^-1 . R . v^T = 0: no product needs checking.
+        Each vector is the free column of R, negated by one `scale` and
+        read into place by its pivot columns.
         """
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        f = self.field
+        f, rank = self.field, len(pivots)
+        place = [rank] * self.cols  # pivot column i reads entry i, the rest the 0 after them
+        for i, pc in enumerate(pivots):
+            place[pc] = i
+        pivot_rows = red.entries[:rank]
         basis = []
-        for fc in free:
-            v = [0] * self.cols
-            v[fc] = 1
-            for ri, pc in enumerate(pivots):
-                v[pc] = f.neg(red.entries[ri][fc])
-            basis.append(v)
+        for fc in range(self.cols):
+            if place[fc] == rank:
+                column = f.scale(f.neg(1), map(itemgetter(fc), pivot_rows)) + [0]
+                v = list(map(column.__getitem__, place))
+                v[fc] = 1
+                basis.append(v)
         return Matrix(f, basis, cols=self.cols)
 
 

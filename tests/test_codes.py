@@ -249,12 +249,16 @@ def _oracle_null_space(code):
 
 
 def _assert_check_matrix_is_the_null_space(code, gauss_jordan=True):
-    """H = [-U^T | I] with every reduced generator row [e_i | u_i] read back
-    from H a multiple of g.  These rows span the code and H is orthogonal to
-    them, so H is the one null-space basis that is the identity on the last
-    n - k columns; with gauss_jordan, H also equals the oracle's basis."""
+    """g h = x^n - eta by the schoolbook product, and H = [-U^T | I] with
+    every reduced generator row [e_i | u_i] read back from H a multiple of
+    g.  These rows span the code and H is orthogonal to them, so H is the
+    one null-space basis that is the identity on the last n - k columns;
+    with gauss_jordan, H also equals the oracle's basis."""
     h, k = code.check_matrix, code.dim
     f, t = h.field, code.n - k
+    eta = build_tower(code.spec).eta
+    assert oracles.poly_product(f, code.gen_poly.coeffs, code.check_poly.coeffs) == (
+        [f.neg(eta)] + [0] * (code.n - 1) + [1])
     assert [row[k:] for row in h.entries] == [
         tuple(int(i == j) for j in range(t)) for i in range(t)]
     g = list(code.gen_poly.coeffs)
@@ -304,12 +308,14 @@ def test_check_matrix_of_one_class_or_one_free_column(spec_args):
 
 
 def test_build_code_sub_scaled_calls(monkeypatch):
-    """One sub_scaled call per nonzero coefficient of h in the division of
-    x^n - eta by g, and one per reduced generator row whose remainder u_i
-    has a nonzero constant term, which here is every row; eliminating the
-    banded generator matrix took 125 and 311 calls."""
-    for args, leaders, calls_expected in [((5, 2, 26), [13, 15, 17, 19], 39),
-                                          ((9, 2, 82), [41, 43], 159)]:
+    """One sub_scaled call per step of the x^-1 mod g recurrence that
+    consumes a nonzero constant, which is one per nonzero coefficient of h:
+    the same steps give the reduced generator rows and h.  The division of
+    x^n - eta by g that this replaces took 20 and 80 calls on top of 19 and
+    79 for the rows (39 and 159 in all), and eliminating the banded
+    generator matrix took 125 and 311."""
+    for args, leaders, calls_expected in [((5, 2, 26), [13, 15, 17, 19], 20),
+                                          ((9, 2, 82), [41, 43], 80)]:
         spec = make_spec(*args)
         t = DefiningSet.from_leaders(spec, leaders)
         field = build_tower(spec).q2
@@ -324,7 +330,23 @@ def test_build_code_sub_scaled_calls(monkeypatch):
         code = build_code(spec, t)
         monkeypatch.undo()
         assert len(calls) == calls_expected
-        assert len(calls) == sum(map(bool, code.check_poly.coeffs)) + code.dim
+        assert len(calls) == sum(map(bool, code.check_poly.coeffs))
+
+
+def test_build_code_rejects_a_generator_that_does_not_divide(monkeypatch):
+    """A tower whose eta is another element of order r: every root of g
+    satisfies x^n = eta for the true eta, so g shares no root with x^n - eta'
+    and cannot divide it."""
+    spec = make_spec(5, 3, 8)  # r = 3: eta and eta^2 have order r
+    tower = build_tower(spec)
+    q2 = tower.q2
+    other = next(a for a in range(2, q2.order)
+                 if a != tower.eta and q2.element_order(a) == spec.r)
+    monkeypatch.setattr(codes, "build_tower",
+                        lambda s: dataclasses.replace(build_tower(s), eta=other))
+    with pytest.raises(InconsistentRootSystemError) as err:
+        build_code(spec, DefiningSet.from_elements(spec, [1, 4, 7]))
+    assert str(err.value) == "generator polynomial does not divide x^n - eta"
 
 
 # ---------------------------------------------------------------------------

@@ -412,7 +412,8 @@ def _tables_off(field):
     return Field(field.p, field.degree, field.modulus)
 
 
-@pytest.mark.parametrize("p,l", [(3, 1), (3, 2), (5, 2), (3, 4), (13, 2), (17, 2), (2, 10)])
+@pytest.mark.parametrize("p,l", [(3, 1), (3, 2), (5, 2), (3, 4), (3, 6), (13, 2), (17, 2),
+                                 (31, 2), (2, 10)])
 def test_log_built_tables_equal_digitwise_arithmetic(p, l):
     field = Field(p, l, make_field(p, l).modulus)
     field._ensure_tables()
