@@ -3,7 +3,9 @@
 The ebit count is computed two independent ways: combinatorially as |T_ss|
 from the defining-set decomposition, and algebraically as rank(H H^dagger)
 of a parity-check matrix.  The two must agree; a mismatch is a hard error
-because it can only come from an implementation defect.
+because it can only come from an implementation defect.  ebit_mismatches is
+the one place the exact oracles are compared with |T_ss|, for derive_eaq and
+families.instance_params alike; a further exact oracle is added there only.
 
 The rank oracle takes H from the check polynomial h = (x^n - eta)/g that
 `codes.build_code` keeps.  The |T| shifts of the reversed h, h~, span the
@@ -89,13 +91,17 @@ def ebits_rank_oracle(code: ConstacyclicCode) -> int:
     return Matrix(f, gram, cols=size).rank()
 
 
+def ebit_mismatches(code: ConstacyclicCode) -> list[str]:
+    """One message per exact ebit oracle that disagrees with |T_ss| on code."""
+    tss = len(code.defining_set.t_ss)
+    c_rank = ebits_rank_oracle(code)
+    return [f"rank oracle {c_rank} != |T_ss| {tss}"] if c_rank != tss else []
+
+
 def derive_eaq(code: ConstacyclicCode) -> EaqParams:
     """[[n, n - 2|T| + |T_ss|, d >= bch; |T_ss|]]_q with both ebit oracles run."""
-    t = code.defining_set
-    c_comb = len(t.t_ss)
-    c_rank = ebits_rank_oracle(code)
-    if c_comb != c_rank:
-        raise EbitOracleMismatch(
-            f"|T_ss| = {c_comb} but rank(H H^dagger) = {c_rank} for "
-            f"defining set {sorted(t.elements)} of {code.spec!r}")
-    return EaqParams.from_defining_set(code.spec, t, code.bch_delta, VERIFIED_RANK)
+    mismatches = ebit_mismatches(code)
+    if mismatches:
+        raise EbitOracleMismatch(f"{code!r}: " + "; ".join(mismatches))
+    return EaqParams.from_defining_set(code.spec, code.defining_set, code.bch_delta,
+                                       VERIFIED_RANK)

@@ -6,7 +6,10 @@ index k as an interval of cosets, and the threshold on k from which |T_ss|
 takes its nonzero value.  An instance is a record and an index k in its
 proved range.  instance_params is the one place an instance is checked:
 the catalog, the verification suite and the `family` command all call it,
-at the verification level they need.
+at the verification level they need.  It compares no ebit oracle itself:
+eaq.ebit_mismatches, which `eaqmds code --rank-oracle` calls too, is the one
+place the exact oracles meet |T_ss|, and a further exact oracle is added
+there only.
 
 The defining sets of one construction are nested, T_k = T_{k-1} | C(start
 + r*k), so they are built as one sweep: Construction.defining_sets adds one
@@ -29,7 +32,7 @@ from .codes import (DEFAULT_DISTANCE_BUDGET, bch_delta, build_code,
                     distance_check_feasible, exact_distance_small)
 from .cosets import CodeSpec, DefiningSet, make_spec
 from .eaq import (VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK, EaqParams,
-                  ebits_rank_oracle)
+                  ebit_mismatches)
 from .fields import factorize
 
 
@@ -171,8 +174,8 @@ def instance_params(c: Construction, k: int, t: DefiningSet, *,
     Raises FamilyError when k lies outside the proved range.  Always checks
     that the computed |T_ss| matches the family prediction, that the
     defining set is a single consecutive run so the BCH bound is |T| + 1,
-    and that the Singleton equality holds.  rank_oracle adds
-    rank(H H^dagger) = |T_ss|; exact_distance adds the exhaustive distance
+    and that the Singleton equality holds.  rank_oracle adds the exact ebit
+    oracles of eaq.ebit_mismatches; exact_distance adds the exhaustive distance
     sweep wherever distance_check_feasible allows it.  The code is built at
     most once, and only for those two checks.  Every failure is collected
     into one VerificationError that names the instance; the error and the
@@ -191,9 +194,7 @@ def instance_params(c: Construction, k: int, t: DefiningSet, *,
     if rank_oracle or exact:
         code = build_code(spec, t)
         if rank_oracle:
-            c_rank = ebits_rank_oracle(code)
-            if c_rank != tss:
-                failures.append(f"rank oracle {c_rank} != |T_ss| {tss}")
+            failures += ebit_mismatches(code)
             verified = VERIFIED_RANK
         if exact:
             d = exact_distance_small(code, budget=distance_budget)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from eaqmds.cli import main
 from eaqmds.codes import build_code, build_tower
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec, minus_q
 from eaqmds.eaq import EaqParams, EbitOracleMismatch, derive_eaq, ebits_rank_oracle
@@ -147,11 +148,17 @@ def test_k_relation():
     assert p.k == spec.n - 2 * len(t.elements) + p.c
 
 
-def test_oracle_disagreement_is_hard_error(monkeypatch):
+def test_oracle_disagreement_is_hard_error(monkeypatch, capsys):
     _, _, code = _setup(5, 3, 8, elements=[1, 4, 7])
     monkeypatch.setattr(eaq_module, "ebits_rank_oracle", lambda code: 99)
-    with pytest.raises(EbitOracleMismatch):
+    text = "ConstacyclicCode([8, 5, >=4] over GF(5^2)): rank oracle 99 != |T_ss| 1"
+    with pytest.raises(EbitOracleMismatch) as err:
         derive_eaq(code)
+    assert str(err.value) == text
+    # the CLI prints the same text as one line and exits 1
+    assert main(["code", "5", "3", "8", "--elements", "1,4,7", "--rank-oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {text}"] and captured.out == ""
 
 
 def test_ebit_count_bounds_enforced():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from eaqmds import families
+from eaqmds import eaq, families
 from eaqmds.cli import main
 from eaqmds.cosets import DefiningSet, coset, is_skew_symmetric, skew_partner
 from eaqmds.families import (FamilyError, FamilyId, VerificationError,
@@ -300,19 +300,20 @@ def test_verification_error_names_instance():
     assert c.predicted_tss(3) == 4
 
 
-# each oracle of instance_params, made to disagree by one, fails with its own text
+# each oracle of instance_params, made to disagree by one, fails with its own
+# text; the ebit oracles run inside eaq.ebit_mismatches, so they are patched in eaq
 ORACLE_MISMATCHES = {
-    "rank": ("ebits_rank_oracle", lambda code: len(code.defining_set.t_ss) + 1,
+    "rank": (eaq, "ebits_rank_oracle", lambda code: len(code.defining_set.t_ss) + 1,
              "Q2P1_NEGA q=5 k=3: rank oracle 5 != |T_ss| 4"),
-    "exact": ("exact_distance_small", lambda code, budget: code.n - code.dim,
+    "exact": (families, "exact_distance_small", lambda code, budget: code.n - code.dim,
               "Q2P1_NEGA q=5 k=3: exact distance 7 != n-k+1 = 8"),
 }
 
 
 @pytest.mark.parametrize("oracle", ORACLE_MISMATCHES)
 def test_oracle_mismatch_error_texts(monkeypatch, oracle):
-    name, fake, text = ORACLE_MISMATCHES[oracle]
-    monkeypatch.setattr(families, name, fake)
+    module, name, fake, text = ORACLE_MISMATCHES[oracle]
+    monkeypatch.setattr(module, name, fake)
     c = construction(NEGA, 5)
     with pytest.raises(VerificationError) as err:
         instance_params(c, 3, c.defining_set(3), rank_oracle=True, exact_distance=True)
@@ -321,8 +322,8 @@ def test_oracle_mismatch_error_texts(monkeypatch, oracle):
 
 @pytest.mark.parametrize("oracle", ORACLE_MISMATCHES)
 def test_verify_prints_oracle_mismatch_as_fail_line_and_exits_1(monkeypatch, capsys, oracle):
-    name, fake, text = ORACLE_MISMATCHES[oracle]
-    monkeypatch.setattr(families, name, fake)
+    module, name, fake, text = ORACLE_MISMATCHES[oracle]
+    monkeypatch.setattr(module, name, fake)
     assert main(["verify", "--q-max", "5", "--families", "Q2P1_NEGA"]) == 1
     out = capsys.readouterr().out.splitlines()
     # the label is the strongest level that ran: at k=3 the exact sweep runs
@@ -331,12 +332,18 @@ def test_verify_prints_oracle_mismatch_as_fail_line_and_exits_1(monkeypatch, cap
 
 
 def test_verify_fail_line_without_exact_sweep_is_labelled_rank_oracle(monkeypatch, capsys):
-    name, fake, text = ORACLE_MISMATCHES["rank"]
-    monkeypatch.setattr(families, name, fake)
+    module, name, fake, text = ORACLE_MISMATCHES["rank"]
+    monkeypatch.setattr(module, name, fake)
     assert main(["verify", "--q-max", "5", "--families", "Q2P1_NEGA",
                  "--no-exact-distance"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert f"[FAIL] Q2P1_NEGA q=5 k=3 -> - (rank-oracle) :: {text}" in out
+    # `code --rank-oracle` on the same T_3 fails with the same mismatch text
+    t3 = ",".join(map(str, sorted(construction(NEGA, 5).defining_set(3).elements)))
+    assert main(["code", "5", "2", "26", "--elements", t3, "--rank-oracle"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: ConstacyclicCode([26, 19, >=8] over GF(5^2)): "
+                   + text.removeprefix("Q2P1_NEGA q=5 k=3: ")]
 
 
 # ---------------------------------------------------------------------------
