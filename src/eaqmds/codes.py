@@ -65,7 +65,6 @@ class Tower:
     e = (q^(2m)-1)/rn; eta = omega^n, descended into F_{q^2}.
     """
 
-    spec: CodeSpec
     q2: Field
     top: Field
     embed: Embedding
@@ -83,7 +82,7 @@ def build_tower(spec: CodeSpec) -> Tower:
     eta = embed.descend(top.pow(omega, spec.n))
     if q2.element_order(eta) != spec.r:
         raise InconsistentRootSystemError(f"eta = omega^n does not have order r={spec.r}")
-    return Tower(spec=spec, q2=q2, top=top, embed=embed, omega=omega, eta=eta)
+    return Tower(q2=q2, top=top, embed=embed, omega=omega, eta=eta)
 
 
 @dataclass(frozen=True)

@@ -659,14 +659,13 @@ class Matrix:
         filed under c is scaled to lead with 1 and clears column c of the
         others, which are filed again.  A row update x - g*y runs only over
         the pivot row's nonzero span past the pivot column, as x - g*0 = x.
-        When back-substitution clears the rows above a pivot row, that span
-        covers only non-pivot columns, so the rows each pivot clears are all
-        read before the back pass starts.  A banded matrix, such as the
-        Hermitian Toeplitz Gram of `eaq.ebits_rank_oracle`, costs in
-        proportion to its band, and a reduced one, such as the generator
-        matrix of `codes.build_code`, costs a scan of each row and no update:
-        a row is copied only when written.  The reduced form is unique, so
-        this equals Gauss-Jordan elimination.
+        The span pays in back-substitution: when it clears the rows above a
+        pivot row, that row's tail covers only non-pivot columns, so the rows
+        each pivot clears are all read before the back pass starts.  A
+        reduced matrix, such as the generator matrix of `codes.build_code`,
+        costs a scan of each row and no update: a row is copied only when
+        written.  The reduced form is unique, so this equals Gauss-Jordan
+        elimination.
         """
         f = self.field
         f._ensure_tables()

@@ -5,8 +5,10 @@ the rank oracle on, which checks the predicted |T_ss| against the computed
 decomposition and against rank(H H^dagger), the BCH bound against the
 defining-set run length, the Singleton equality, and (where the enumeration
 budget allows) the exact minimum distance.  A failed instance becomes a
-FAIL line instead of stopping the run.  The suite also re-derives the
-ranges the published statements disagree on and reports both.
+FAIL line instead of stopping the run.  Each construction's T_k chain is
+swept once, one index past its proved range; the same sweep's |T_ss|
+counts give the note on where the published range statement and the
+computed |T_ss| disagree.
 """
 
 from __future__ import annotations
@@ -65,11 +67,29 @@ def _check_instance(c: Construction, k: int, t: DefiningSet, exact_distance: boo
     return InstanceReport(c.label(k), str(params), params.verified)
 
 
-def _combo_reports(args: tuple) -> list[InstanceReport]:
+def _combo_reports(args: tuple) -> tuple[list[InstanceReport], str]:
+    """The instance reports and the range note of one construction."""
     family, q, h, exact_distance, budget = args
     c = construction(family, q, h)
-    return [_check_instance(c, k, t, exact_distance, budget)
-            for k, t in c.defining_sets(c.indices())]
+    reports, tss = [], []  # tss[i] is |T_ss| of T_{lo+i}, for lo <= k <= hi + 1
+    for k, t in c.defining_sets(range(c.lo, c.hi + 2)):
+        tss.append(len(t.t_ss))
+        if k <= c.hi:
+            reports.append(_check_instance(c, k, t, exact_distance, budget))
+    if family is FamilyId.QM1_H:
+        head = f"{family.value} q={q} h={h}"
+        if 1 not in tss[:-1]:
+            return reports, (f"{head}: no k in [{c.lo}, {c.hi}] has |T_ss|=1 "
+                             f"(threshold {c.threshold})")
+        onset = c.lo + tss.index(1)
+        return reports, (f"{head}: first k with |T_ss|=1 is {onset} "
+                         f"(threshold {c.threshold}), so the one-ebit range starts at "
+                         f"d=(q+1)/h+1={onset - c.lo + 2}")
+    if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA):
+        return reports, (f"{family.value} q={q}: |T_ss|=4 holds for (q+1)/2 <= k <= "
+                         f"(3q-3)/2; at k=(3q-1)/2 the computed |T_ss| is {tss[-1]}")
+    return reports, (f"{family.value} q={q}: one-ebit range ends at d={2 * c.hi + 2} "
+                     f"(k={c.hi}); at k={c.hi + 1} the computed |T_ss| is {tss[-1]}")
 
 
 def _descent_canary() -> InstanceReport:
@@ -85,32 +105,6 @@ def _descent_canary() -> InstanceReport:
     return InstanceReport("descent-canary q=5 (drop one coset element)",
                           "-", "negative-control",
                           ["corrupted defining set was not rejected"])
-
-
-def _beyond_range_notes(combos: list[tuple[FamilyId, int, int | None]]) -> list[str]:
-    """Recompute the ranges where the published statements disagree."""
-    notes = []
-    for family, q, h in combos:
-        c = construction(family, q, h)
-        if family is FamilyId.QM1_H:
-            onset = next(k for k, t in c.defining_sets(range(c.lo, c.hi + 1))
-                         if len(t.t_ss) == 1)
-            notes.append(
-                f"{family.value} q={q} h={h}: first k with |T_ss|=1 is {onset} "
-                f"(threshold {c.threshold}), so the one-ebit range starts at "
-                f"d=(q+1)/h+1={onset - c.lo + 2}")
-            continue
-        # one step past the stated cap
-        beyond = len(c.defining_set(c.hi + 1).t_ss)
-        if family in (FamilyId.Q2P1_NEGA, FamilyId.Q2P1_CONSTA):
-            notes.append(
-                f"{family.value} q={q}: |T_ss|=4 holds for (q+1)/2 <= k <= (3q-3)/2; "
-                f"at k=(3q-1)/2 the computed |T_ss| is {beyond}")
-        else:
-            notes.append(
-                f"{family.value} q={q}: one-ebit range ends at d={2 * c.hi + 2} "
-                f"(k={c.hi}); at k={c.hi + 1} the computed |T_ss| is {beyond}")
-    return notes
 
 
 def run_verification(q_max: int = 13, families: list[FamilyId] | None = None,
@@ -134,8 +128,8 @@ def run_verification(q_max: int = 13, families: list[FamilyId] | None = None,
     tasks = [(family, q, h, exact_distance, distance_budget) for family, q, h in combos]
 
     report = VerifyReport()
-    for chunk in fan_out(_combo_reports, tasks, workers):
-        report.instances.extend(chunk)
+    for reports, note in fan_out(_combo_reports, tasks, workers):
+        report.instances.extend(reports)
+        report.notes.append(note)
     report.instances.append(_descent_canary())
-    report.notes = _beyond_range_notes(combos)
     return report

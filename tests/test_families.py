@@ -8,11 +8,12 @@ import pytest
 
 from eaqmds import eaq, families
 from eaqmds.cli import main
+from eaqmds.codes import DEFAULT_DISTANCE_BUDGET
 from eaqmds.cosets import DefiningSet, coset, is_skew_symmetric, skew_partner
 from eaqmds.families import (FamilyError, FamilyId, VerificationError,
                              applicable_combos, construction, family_spec,
                              instance_params, odd_prime_powers)
-from eaqmds.verify import _beyond_range_notes
+from eaqmds.verify import _combo_reports
 
 import oracles
 
@@ -384,7 +385,8 @@ def test_verify_beyond_range_notes_are_pinned():
     # note; these lines were taken before the notes read the Construction record
     combos = [(NEGA, 13, None), (CONSTA, 11, None), (T3, 13, None), (T7, 17, None),
               (QM1, 19, 5)]
-    assert _beyond_range_notes(combos) == [
+    notes = [_combo_reports((*combo, False, DEFAULT_DISTANCE_BUDGET))[1] for combo in combos]
+    assert notes == [
         "Q2P1_NEGA q=13: |T_ss|=4 holds for (q+1)/2 <= k <= (3q-3)/2; "
         "at k=(3q-1)/2 the computed |T_ss| is 8",
         "Q2P1_CONSTA q=11: |T_ss|=4 holds for (q+1)/2 <= k <= (3q-3)/2; "
@@ -394,6 +396,24 @@ def test_verify_beyond_range_notes_are_pinned():
         "QM1_H q=19 h=5: first k with |T_ss|=1 is 7 (threshold 7), so the one-ebit "
         "range starts at d=(q+1)/h+1=5",
     ]
+
+
+def test_verify_reports_every_instance_when_no_k_reaches_one_ebit(monkeypatch, capsys):
+    # a |T_ss| fold that always comes out empty: the QM1_H chain never reaches
+    # |T_ss| = 1, which the note states in place of an onset
+    with_coset = DefiningSet.with_coset
+    monkeypatch.setattr(DefiningSet, "with_coset", lambda t, s: dataclasses.replace(
+        with_coset(t, s), t_ss=frozenset()))
+    assert main(["verify", "--q-max", "5", "--families", "QM1_H",
+                 "--no-exact-distance"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out.splitlines()
+    assert [line.split(" -> ")[0] for line in out[:5]] == [
+        "[ok] QM1_H q=5 h=3 k=0", "[FAIL] QM1_H q=5 h=3 k=1", "[FAIL] QM1_H q=5 h=3 k=2",
+        "[FAIL] QM1_H q=5 h=3 k=3", "[ok] descent-canary q=5 (drop one coset element)"]
+    assert out[5:] == ["note: QM1_H q=5 h=3: no k in [0, 3] has |T_ss|=1 (threshold 1)",
+                       "summary: 5 instances, 2 ok, 3 failed"]
 
 
 def test_qm1_one_ebit_onset_matches_lower_bound():
