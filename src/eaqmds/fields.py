@@ -45,7 +45,9 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs stay below 2^32)."""
+    """Prime factorization by trial division, which takes only 1 <= n < 2^32."""
+    if not 1 <= n < 2**32:
+        raise ValueError(f"cannot factor {n}: trial division takes 1 <= n < 2^32")
     facts: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -639,17 +641,9 @@ class Matrix:
             raise ValueError("matrices over different fields")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        f = self.field
-        dot = f.dot
-        # Slices are taken of lists, not tuples: CPython 3.11 keeps up to 2000
-        # freed 20-tuples on a free list that it never takes them back from.
-        bcols = [list(col) for col in zip(*other.entries)] if other.rows else [[]] * other.cols
-        out = []
-        for arow in self.entries:
-            s, e = _nonzero_span(arow, 0)  # entries outside [s, e) add nothing
-            xs = list(islice(arow, s, e))
-            out.append([dot(xs, bcol[s:e]) for bcol in bcols])
-        return Matrix(f, out, cols=other.cols)
+        bcols = list(zip(*other.entries)) if other.rows else [()] * other.cols
+        out = [[self.field.dot(arow, bcol) for bcol in bcols] for arow in self.entries]
+        return Matrix(self.field, out, cols=other.cols)
 
     def rref(self) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns.
@@ -657,35 +651,23 @@ class Matrix:
         Rows are filed under the column of their first nonzero, and the
         forward pass takes the columns in ascending order: the first row
         filed under c is scaled to lead with 1 and clears column c of the
-        others, which are filed again.  A row update x - g*y runs only over
-        the pivot row's nonzero span past the pivot column, as x - g*0 = x.
-        The span pays in back-substitution: when it clears the rows above a
-        pivot row, that row's tail covers only non-pivot columns, so the rows
-        each pivot clears are all read before the back pass starts.  A
-        reduced matrix, such as the generator matrix of `codes.build_code`,
-        costs a scan of each row and no update: a row is copied only when
-        written.  The reduced form is unique, so this equals Gauss-Jordan
-        elimination.
+        others, which are filed again.  The back pass takes the pivot rows
+        bottom up and clears a row's nonzeros at later pivot columns, found
+        by one scan, with those columns' rows, already reduced: each is 0
+        at every other pivot column, so a clear changes no entry the scan
+        found.  A reduced matrix makes no row update, and one with no free
+        column before its last pivot, such as the generator matrix of
+        `codes.build_code`, costs a scan of each row and no copy.  The
+        reduced form is unique, so this equals Gauss-Jordan elimination.
         """
         f = self.field
         f._ensure_tables()
         scale, sub_scaled, inv = f.scale, f.sub_scaled, f.inv
 
-        def clear(pivot: Sequence[int], c: int, targets: list[list[int]]) -> None:
-            """Zero column c of the target rows with the pivot row (pivot[c] == 1)."""
-            if not targets:
-                return
-            s, e = _nonzero_span(pivot, c + 1)
-            tail = pivot[s:e]
-            for row in targets:
-                g = row[c]
-                row[c] = 0
-                row[s:e] = sub_scaled(row[s:e], g, tail)
-
         waiting: dict[int, list[Sequence[int]]] = {}  # rows by their first nonzero column
         for row in self.entries:
-            s, e = _nonzero_span(row, 0)
-            if s < e:
+            s = next(compress(count(), row), None)
+            if s is not None:
                 waiting.setdefault(s, []).append(row)
         rows: list[Sequence[int]] = []
         pivots: list[int] = []
@@ -694,31 +676,25 @@ class Matrix:
                 continue
             pivot, *rest = waiting.pop(c)
             if pivot[c] != 1:
-                e = _nonzero_span(pivot, c)[1]
-                pivot = list(pivot)
-                pivot[c:e] = scale(inv(pivot[c]), pivot[c:e])
-            rest = [list(row) for row in rest]
-            clear(pivot, c, rest)
-            for row in rest:
-                s, e = _nonzero_span(row, c + 1)
-                if s < e:
+                pivot = [0] * c + scale(inv(pivot[c]), pivot[c:])
+            tail = pivot[c + 1:]
+            for row in rest:  # zero before column c as well, being filed under c
+                row = [0] * (c + 1) + sub_scaled(row[c + 1:], row[c], tail)
+                s = next(compress(count(c + 1), islice(row, c + 1, None)), None)
+                if s is not None:
                     waiting.setdefault(s, []).append(row)
             rows.append(pivot)
             pivots.append(c)
 
-        row_of = {c: r for r, c in enumerate(pivots)}
-        hits: list[list[list[int]]] = [[] for _ in pivots]
         end = pivots[-1] + 1 if pivots else 0
-        for i, c in enumerate(pivots):
-            row = rows[i]
-            above = [row_of[j] for j in compress(range(c + 1, end), islice(row, c + 1, end))
-                     if j in row_of]
-            if above:
+        index = {c: i for i, c in enumerate(pivots)}  # pivot column -> its row
+        for i in range(len(pivots) - 1, -1, -1):
+            c, row = pivots[i], rows[i]
+            if any(islice(row, c + 1, end)):  # unlike compress, makes no int per column
                 row = rows[i] = list(row)
-                for r in above:
-                    hits[r].append(row)
-        for r in range(len(pivots) - 1, 0, -1):
-            clear(rows[r], pivots[r], hits[r])
+                for j in compress(range(c + 1, end), row[c + 1:end]):
+                    if j in index:  # that row, already reduced, has 1 at j: x - x*1 zeroes it
+                        row[j:] = sub_scaled(row[j:], row[j], rows[index[j]][j:])
         rows += [(0,) * self.cols] * (self.rows - len(rows))
         return Matrix(f, rows, cols=self.cols), tuple(pivots)
 
@@ -749,11 +725,3 @@ class Matrix:
                 basis.append(v)
         return Matrix(f, basis, cols=self.cols)
 
-
-def _nonzero_span(row: Sequence[int], start: int) -> tuple[int, int]:
-    """[s, e) from the first to just past the last nonzero of row[start:];
-    (start, start) when there is none."""
-    s = next(compress(count(start), islice(row, start, None)), None)
-    if s is None:
-        return start, start
-    return s, len(row) - next(compress(count(), reversed(row)))

@@ -82,6 +82,25 @@ def test_length_one_spec_terminates(argv, rc, out, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
 
 
+# a q near 10^18 once started a trial division of about 5*10^8 divisors,
+# before factorize took only n < 2^32; these run in a child process with a
+# timeout, like those above
+HUGE_Q = "1000000000000000009"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cosets", HUGE_Q, "2", "5"],
+    ["family", "Q2P1_NEGA", HUGE_Q],
+    ["catalog", "--q", HUGE_Q],
+], ids=["cosets", "family", "catalog"])
+def test_huge_q_is_rejected_without_factoring(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eaqmds.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "eaqmds.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: cannot factor {HUGE_Q}: trial division takes 1 <= n < 2^32\n")
+
+
 # ---------------------------------------------------------------------------
 # decompose and code
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from eaqmds.codes import build_code
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec
 from eaqmds.fields import (_PACK_TABLE_MAX, _TABLE_MAX_ORDER, Field, Matrix, Poly,
-                           _is_irreducible, _packing, extend, is_prime, make_field,
-                           prime_power_split)
+                           _is_irreducible, _packing, extend, factorize, is_prime,
+                           make_field, prime_power_split)
 
 import oracles
 
@@ -121,6 +121,14 @@ def test_make_field_rejects_bad_input():
 
 def test_make_field_is_deterministic_and_cached():
     assert make_field(5, 2) is F25
+
+
+def test_factorize_takes_only_n_below_2_to_the_32():
+    assert factorize(2**32 - 1) == {3: 1, 5: 1, 17: 1, 257: 1, 65537: 1}
+    assert factorize(1) == {}
+    for n in (0, -7, 2**32, 1000000000000000009):
+        with pytest.raises(ValueError, match="trial division"):
+            factorize(n)
 
 
 def test_prime_power_split():
@@ -498,7 +506,23 @@ def _with_zero_rows(field, data, rows, cols):
     return out
 
 
-MATRIX_SHAPES = [_dense, _banded_toeplitz, _rank_deficient, _with_zero_rows]
+def _reduced(field, data, rows, cols):
+    """A random reduced row echelon form: free columns between and after
+    the pivots, and zero rows below."""
+    pivots = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=cols - 1),
+                                       max_size=rows, unique=True)))
+    out = []
+    for c in pivots:
+        row = [0] * cols
+        row[c] = 1
+        for j in range(c + 1, cols):
+            if j not in pivots:
+                row[j] = data.draw(codes_of(field))
+        out.append(row)
+    return out + [[0] * cols for _ in range(rows - len(pivots))]
+
+
+MATRIX_SHAPES = [_dense, _banded_toeplitz, _rank_deficient, _with_zero_rows, _reduced]
 
 
 @pytest.mark.parametrize("shape", MATRIX_SHAPES, ids=lambda s: s.__name__.strip("_"))
@@ -519,6 +543,61 @@ def test_rref_and_nullspace_match_schoolbook_gauss_jordan(field, shape, data):
     ns = m.right_nullspace()
     assert ns.rows == cols - len(expected_pivots)
     assert oracles.times_transpose_is_zero(ref, entries, ns.entries)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@given(data=st.data())
+def test_rref_of_a_reduced_matrix_makes_no_row_update(field, data):
+    # build_code's generator matrix arrives reduced; its rref must only scan
+    rows = data.draw(st.integers(min_value=1, max_value=6))
+    cols = data.draw(st.integers(min_value=1, max_value=8))
+    entries = _reduced(field, data, rows, cols)
+    fresh = Field(field.p, field.degree, field.modulus)
+
+    def no_update(*args):
+        raise AssertionError("row update on a reduced matrix")
+
+    fresh.scale = fresh.sub_scaled = no_update
+    m = Matrix(fresh, entries)
+    red, pivots = m.rref()
+    assert red == m
+    assert pivots == tuple(row.index(1) for row in entries if any(row))
+
+
+def _padded_rows(field, data, rows, cols):
+    """Random entries between runs of zeros at either end of each row."""
+    out = []
+    for _ in range(rows):
+        lead = data.draw(st.integers(min_value=0, max_value=cols))
+        trail = data.draw(st.integers(min_value=0, max_value=cols - lead))
+        width = cols - lead - trail
+        mid = data.draw(st.lists(codes_of(field), min_size=width, max_size=width))
+        out.append([0] * lead + mid + [0] * trail)
+    return out
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@given(data=st.data())
+def test_matmul_equals_entrywise_product(field, data):
+    ref = _tables_off(field)
+    rows, inner, cols = (data.draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    a = _padded_rows(ref, data, rows, inner)
+    b = _padded_rows(ref, data, inner, cols)
+    product = Matrix(field, a, cols=inner) @ Matrix(field, b, cols=cols)
+    # the oracle reads B's width from its rows, so B with no row is 0 wide there
+    expected = oracles.matrix_product(ref, a, b) if inner else [[0] * cols] * rows
+    assert (product.rows, product.cols) == (rows, cols)
+    assert product.entries == tuple(tuple(r) for r in expected)
+
+
+@pytest.mark.parametrize("shapes", [(0, 3, 2), (2, 0, 3), (0, 0, 2), (3, 2, 0)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_matmul_with_an_empty_dimension(shapes):
+    rows, inner, cols = shapes
+    a = Matrix(F1369, [[1] * inner] * rows, cols=inner)
+    b = Matrix(F1369, [[2] * cols] * inner, cols=cols)
+    product = a @ b
+    assert (product.rows, product.cols, product.entries) == (rows, cols, ((0,) * cols,) * rows)
 
 
 NULLSPACE_FIELDS = [F9, F25, F49, F1369]
