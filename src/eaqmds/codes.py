@@ -3,13 +3,18 @@
 A code is built from its defining set T, a union of q^2-cyclotomic cosets
 of classes modulo rn.  The generator polynomial g is the product over those
 cosets of their minimal polynomials over F_{q^2}: a coset's factors
-(x - omega^j), at most m of them, are multiplied in F_{q^(2m)}, the product
-is descended coefficientwise to F_{q^2}, and the minimal polynomials are
-multiplied there.  Descent doubles as the closure check, because a set that
-splits a coset leaves a coefficient outside F_{q^2}.  The roots omega^j are
-taken in ascending j, each the previous root times omega^(j - j_prev), with
-one power per distinct gap: a run of classes 1 + ri costs one multiplication
-in F_{q^(2m)} per root.
+(x - omega^j), at most m of them, are multiplied in F_{q^(2m)} one linear
+factor at a time, in place, the product is descended coefficientwise to
+F_{q^2}, and the minimal polynomials are multiplied there.  Descent doubles
+as the closure check, because a set that splits a coset leaves a
+coefficient outside F_{q^2}.  The defining sets of one construction are
+nested, so `minimal_polynomial` caches each coset's descended factor by
+(spec, orbit) for the life of the process, like `build_tower`: a sweep of
+K rows builds each of its cosets once, not once per row.  The roots are
+read from a per-spec table of omega^s for the n classes s of Omega, filled
+on first use with n multiplications by omega^r.  The caches grow by one
+entry per coset built and n powers per spec.  A failed descent raises and
+is not cached, so a set that splits a coset is rejected on every build.
 
 The generator matrix is built already reduced, the systematic encoder of
 a cyclic code: row i is x^i - x^k (x^(i-k) mod g), the unit vector e_i on
@@ -85,6 +90,38 @@ def build_tower(spec: CodeSpec) -> Tower:
     return Tower(q2=q2, top=top, embed=embed, omega=omega, eta=eta)
 
 
+@lru_cache(maxsize=None)
+def _omega_powers(spec: CodeSpec) -> tuple[int, ...]:
+    """omega^(1 + ri) for 0 <= i < n, the roots of Omega in index order."""
+    tower = build_tower(spec)
+    mul, step = tower.top.mul, tower.top.pow(tower.omega, spec.r)
+    powers = [tower.omega]
+    for _ in range(spec.n - 1):
+        powers.append(mul(powers[-1], step))
+    return tuple(powers)
+
+
+@lru_cache(maxsize=None)
+def minimal_polynomial(spec: CodeSpec, orbit: tuple[int, ...]) -> Poly:
+    """The product of (x - omega^j) over j in orbit, descended to F_{q^2}.
+
+    Raises ValueError when a coefficient is outside F_{q^2}, which happens
+    when orbit is not a whole coset; the error is not cached.
+    """
+    tower = build_tower(spec)
+    top, powers, r, rn = tower.top, _omega_powers(spec), spec.r, spec.rn
+    mul, add = top.mul, top.add
+    # times (x + a), a = -omega^j, in place: new_i = c_(i-1) + a c_i, new_0 = a c_0
+    c = [1]
+    for j in orbit:
+        a = top.neg(powers[(j - 1) % rn // r])
+        c.append(1)
+        for i in range(len(c) - 2, 0, -1):
+            c[i] = add(c[i - 1], mul(a, c[i]))
+        c[0] = mul(a, c[0])
+    return Poly(tower.q2, [tower.embed.descend(x) for x in c])
+
+
 @dataclass(frozen=True)
 class ConstacyclicCode:
     """An eta-constacyclic code of length n over F_{q^2}.
@@ -128,35 +165,22 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
     if any(not in_omega(spec, s) for s in t.elements):
         raise ValueError("defining set leaves Omega")
     tower = build_tower(spec)
-    top, q2 = tower.top, tower.q2
-
-    # omega^j for each j of T in ascending order, stepped from the previous
-    # root by omega^gap; the power of each distinct gap is computed once
-    roots, steps, root, prev = {}, {}, 1, 0
-    for j in sorted(t.elements):
-        step = steps.get(j - prev)
-        if step is None:
-            step = steps[j - prev] = top.pow(tower.omega, j - prev)
-        root = roots[j] = top.mul(root, step)
-        prev = j
+    q2 = tower.q2
 
     # one minimal polynomial per coset; a coset T only partly covers has a
     # factor with a coefficient outside F_{q^2}, and descent rejects it
     gen_poly = Poly.one(q2)
     rest = set(t.elements)
     while rest:
-        orbit = [j for j in coset(spec, min(rest)).elements if j in rest]
+        orbit = tuple(j for j in coset(spec, min(rest)).elements if j in rest)
         rest.difference_update(orbit)
-        factor = Poly.one(top)
-        for j in orbit:
-            factor = factor * Poly(top, [top.neg(roots[j]), 1])
         try:
-            coeffs = [tower.embed.descend(c) for c in factor.coeffs]
+            factor = minimal_polynomial(spec, orbit)
         except ValueError as exc:
             raise CoefficientDescentError(
                 f"generator coefficients left F_{spec.q}^2; defining set "
                 f"{sorted(t.elements)} is not closed under multiplication by q^2") from exc
-        gen_poly = gen_poly * Poly(q2, coeffs)
+        gen_poly = gen_poly * factor
 
     # u_j = -x^-j mod g from u_0 = -1: u_j = u_(j-1) x^-1 mod g, where the
     # constant c_j of u_(j-1) cancels against c_j g/g_0 (g_0 != 0, as no root

@@ -209,15 +209,18 @@ def rref_rank(field, rows) -> int:
     return len(gauss_jordan_rref(field, rows)[1])
 
 
-def matrix_product(field, a_rows, b_rows):
-    """A . B, each entry summed one Field.mul and Field.add at a time."""
+def matrix_product(field, a_rows, b_rows, cols):
+    """A . B for a B of `cols` columns, which may have no rows; each entry
+    is summed one Field.mul and Field.add at a time."""
+    if any(len(b) != cols for b in b_rows):
+        raise ValueError(f"every row of B must have {cols} entries")
     out = []
     for a in a_rows:
         row = []
-        for col in zip(*b_rows):
+        for j in range(cols):
             acc = 0
-            for x, y in zip(a, col, strict=True):
-                acc = field.add(acc, field.mul(x, y))
+            for x, b in zip(a, b_rows, strict=True):
+                acc = field.add(acc, field.mul(x, b[j]))
             row.append(acc)
         out.append(row)
     return out
@@ -225,7 +228,8 @@ def matrix_product(field, a_rows, b_rows):
 
 def hermitian_gram(field, rows):
     """H . H^dagger by matrix_product, with H^dagger conjugated entry by entry."""
-    return matrix_product(field, rows, [[field.conj(x) for x in col] for col in zip(*rows)])
+    return matrix_product(field, rows, [[field.conj(x) for x in col] for col in zip(*rows)],
+                          len(rows))
 
 
 def poly_product(field, a, b):
@@ -264,7 +268,7 @@ def constacyclic_generator_product(tower, elements):
 
 def generator_poly(spec, t):
     """g of the defining set t, each root omega^j taken by its own
-    top.pow(omega, j) rather than stepped from the previous root."""
+    top.pow(omega, j) rather than read from a table stepped by omega^r."""
     tower = build_tower(spec)
     return _linear_factor_product(tower, [tower.top.pow(tower.omega, j)
                                           for j in sorted(t.elements)])

@@ -9,7 +9,7 @@ from eaqmds import codes, fields
 from eaqmds.codes import (CoefficientDescentError, DistanceBudgetExceeded,
                           InconsistentRootSystemError, bch_delta, build_code, build_tower,
                           classical_mds_verdict, exact_distance_small)
-from eaqmds.cosets import DefiningSet, all_cosets, make_spec, omega_set
+from eaqmds.cosets import DefiningSet, all_cosets, coset, make_spec, omega_set
 from eaqmds.families import (FamilyId, applicable_combos, construction, family_spec,
                              odd_prime_powers)
 from eaqmds.fields import Matrix, make_field
@@ -200,15 +200,69 @@ ROOT_SPECS = [(5, 3, 8), (37, 2, 12), (7, 2, 10), (13, 2, 17), (3, 2, 41)]
 
 @given(spec_args=st.sampled_from(ROOT_SPECS), data=st.data())
 def test_stepped_roots_give_the_generator_of_one_power_per_root(spec_args, data):
-    """build_code steps from root to root by the power of each gap; any union
-    of cosets has irregular gaps, and g must be the product whose every root
-    omega^j comes from its own top.pow."""
+    """build_code reads its roots from a table stepped by omega^r and its
+    factors from the coset cache; for any union of cosets g must be the
+    product whose every root omega^j comes from its own top.pow."""
     spec = make_spec(*spec_args)
     leaders = [c.leader for c in all_cosets(spec)]
     pick = data.draw(st.lists(st.sampled_from(leaders), min_size=1,
                               max_size=len(leaders) - 1, unique=True))
     t = DefiningSet.from_leaders(spec, pick)
     assert list(build_code(spec, t).gen_poly.coeffs) == oracles.generator_poly(spec, t)
+
+
+@pytest.mark.parametrize("family,q", [
+    (FamilyId.Q2P1_NEGA, 9),   # q = 3^2, top field F_{3^8}
+    (FamilyId.TENTH_7, 17),    # top field F_{17^4}, above the table cap
+])
+def test_sweep_generators_with_the_coset_cache_cold_and_warm(family, q):
+    c = construction(family, q)
+    codes.minimal_polynomial.cache_clear()
+    for _ in range(2):  # cold, then every coset from the cache
+        for k, t in c.defining_sets(c.indices()):
+            assert list(build_code(c.spec, t).gen_poly.coeffs) \
+                == oracles.generator_poly(c.spec, t), c.label(k)
+
+
+@pytest.mark.parametrize("family,q,h", [(FamilyId.Q2P1_CONSTA, 7, None),
+                                        (FamilyId.TENTH_3, 13, None),
+                                        (FamilyId.QM1_H, 11, 3)])
+def test_a_sweep_builds_each_coset_once(family, q, h):
+    c = construction(family, q, h)
+    codes.minimal_polynomial.cache_clear()
+    for _, t in c.defining_sets(c.indices()):
+        build_code(c.spec, t)
+    t_hi = c.defining_set(c.hi)
+    cosets_of_t_hi = {coset(c.spec, s).leader for s in t_hi.elements}
+    assert codes.minimal_polynomial.cache_info().misses == len(cosets_of_t_hi)
+
+
+def test_a_split_coset_fails_descent_on_every_build():
+    # {13} is a whole coset and {11, 15} is split; the failure is not cached,
+    # so each build descends the split factor again
+    spec = make_spec(5, 2, 26)
+    broken = DefiningSet.from_elements(spec, [13, 15], check_closure=False)
+    codes.minimal_polynomial.cache_clear()
+    for misses in (2, 3):
+        with pytest.raises(CoefficientDescentError) as exc:
+            build_code(spec, broken)
+        assert str(exc.value) == _descent_message(5, [13, 15])
+        assert codes.minimal_polynomial.cache_info().misses == misses
+    closed = DefiningSet.from_leaders(spec, [11, 13])
+    assert list(build_code(spec, closed).gen_poly.coeffs) == oracles.generator_poly(spec, closed)
+
+
+def test_the_coset_cache_keeps_specs_apart():
+    # (13,) is a whole coset of both specs, over the same F_25 but with omega
+    # of order 52 (top field F_{5^4}) and of order 24 (top field F_25)
+    factors = []
+    for spec in (make_spec(5, 2, 26), make_spec(5, 3, 8)):
+        factor = codes.minimal_polynomial(spec, (13,))
+        assert factor.field is build_tower(spec).q2
+        assert list(factor.coeffs) == oracles.generator_poly(
+            spec, DefiningSet.from_elements(spec, [13]))
+        factors.append(factor)
+    assert factors[0] != factors[1]
 
 
 def test_empty_defining_set_rejected():

@@ -100,7 +100,7 @@ def test_rank_oracle_equals_schoolbook_rank_of_h_h_dagger(spec_args, data):
              for i in range(size)]
     upper = [[data.draw(unit) if j == i else data.draw(entry) if j > i else 0
               for j in range(size)] for i in range(size)]
-    a_h = oracles.matrix_product(f, oracles.matrix_product(f, lower, upper), h)
+    a_h = oracles.matrix_product(f, oracles.matrix_product(f, lower, upper, size), h, spec.n)
 
     c = ebits_rank_oracle(code)
     assert c == oracles.rref_rank(f, oracles.hermitian_gram(f, h))
