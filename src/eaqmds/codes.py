@@ -37,6 +37,7 @@ The shifts of the reversed h span the same row space as H, which
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -265,46 +266,96 @@ def exact_distance_small(code: ConstacyclicCode, cap: int | None = None,
     m = h.rows
     limit = m + 1 if cap is None else min(cap, m + 1)
     f = h.field
-    scale, sub_scaled, inv = f.scale, f.sub_scaled, f.inv
-    zero = [0] * m
+    mul, sub_scaled, inv = f.mul, f.sub_scaled, f.inv
 
     # the smallest dependent subset size found so far; limit + 1 while
     # no subset of size <= limit has been found
     best = limit + 1
     visits = 0
 
+    passed = f"distance search passed {budget} subset evaluations"
+
     # Depth-first over column subsets in index order, with column 0 the only
-    # first column (see the docstring).  Each level keeps the remaining
-    # columns already reduced against all chosen pivots, so a node costs one
-    # elimination per surviving column.  A reduced-to-zero column closes a
-    # dependent subset; pruning at `best` is sound because deeper subsets
-    # are strictly larger.
-    def dfs(remaining: list[list[int]], depth: int) -> None:
+    # first column (see the docstring).  A level at depth d is the m - d rows
+    # of the columns after the last pivot, reduced against all d pivots: the
+    # child of column i keeps row r[i+1:] less (col[r]/col[pos]) times the
+    # pivot row r_pos[i+1:], one sub_scaled call per other row where col is
+    # nonzero, and drops the pivot row, which that reduction zeroes.  A
+    # reduced-to-zero column closes a dependent subset; pruning at `best`
+    # is sound because deeper subsets are strictly larger.
+    #
+    # When d + 3 >= best the child of column i can close a subset only on
+    # its own first level: it visits its columns in order until the first
+    # one that reduced to zero, sets best = d + 2 there, and then stops.
+    # Column j > i reduces to zero exactly when it is a multiple of column i
+    # (zero included): c - (c[pos]/col[pos]) col = 0 forces c = a col, and
+    # every a col cancels.  Nonzero multiples share the key "scaled so the
+    # first nonzero is 1", so one right-to-left pass over the level finds
+    # that j for every i, and the child's visits are added in one step.
+    # The budget is checked after the batch, which raises exactly when the
+    # visit-by-visit count would have.
+    def dfs(rows: Sequence[Sequence[int]], depth: int) -> None:
         nonlocal best, visits
-        if depth == m:
-            # full pivot rank: any remaining column is a certain dependency
-            if remaining and m + 1 < best:
-                best = m + 1
-            return
-        for idx, col in enumerate(remaining if depth else remaining[:1]):
+        cols = list(zip(*rows))
+        width = len(cols)
+        firsts = None  # firsts[i]: the j that closes column i's child, or width
+        for i, col in enumerate(cols if depth else cols[:1]):
             if depth + 1 >= best:
                 return
             visits += 1
             if visits > budget:
-                raise DistanceBudgetExceeded(
-                    f"distance search passed {budget} subset evaluations")
-            if col == zero:
+                raise DistanceBudgetExceeded(passed)
+            if not any(col):
                 best = depth + 1
                 continue
-            if idx + 1 == len(remaining) or depth + 2 >= best:
+            if i + 1 == width or depth + 2 >= best:
                 continue
-            pos = next(i for i in range(m) if col[i])
-            norm = col if col[pos] == 1 else scale(inv(col[pos]), col)
-            dfs([sub_scaled(c, c[pos], norm) if c[pos] else c
-                 for c in remaining[idx + 1:]], depth + 1)
+            if depth + 1 == m:
+                # the child would hold no row: with m pivots any later
+                # column is a certain dependency
+                best = m + 1
+                continue
+            if depth + 3 >= best:
+                if firsts is None:
+                    firsts = _first_multiples(f, cols)
+                j = firsts[i]
+                visits += (j if j < width else width - 1) - i
+                if visits > budget:
+                    raise DistanceBudgetExceeded(passed)
+                if j < width:
+                    best = depth + 2
+                continue
+            pos = 0 if col[0] else next(r for r, x in enumerate(col) if x)
+            lead_inv = inv(col[pos])
+            pivot = rows[pos][i + 1:]
+            dfs([sub_scaled(row[i + 1:], mul(x, lead_inv), pivot) if x else row[i + 1:]
+                 for r, (row, x) in enumerate(zip(rows, col)) if r != pos], depth + 1)
 
-    dfs([list(col) for col in zip(*h.entries)], 0)
+    dfs(h.entries, 0)
     return best if best <= limit else None
+
+
+def _first_multiples(f: Field, cols: list[tuple[int, ...]]) -> list[int]:
+    """For each column i, the first later column that is zero or a scalar
+    multiple of column i, or len(cols) when there is none."""
+    mul, inv = f.mul, f.inv
+    width = len(cols)
+    out = [width] * width
+    seen: dict[tuple[int, ...], int] = {}
+    zero_at = width
+    for j in range(width - 1, -1, -1):
+        col = cols[j]
+        lead = col[0] or next((x for x in col if x), 0)
+        if not lead:
+            zero_at = j
+            continue
+        if lead != 1:
+            g = inv(lead)
+            col = tuple([mul(g, x) for x in col])
+        later = seen.get(col, width)
+        out[j] = later if later < zero_at else zero_at
+        seen[col] = j
+    return out
 
 
 def distance_check_feasible(n: int, redundancy: int, budget: int) -> bool:

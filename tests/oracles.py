@@ -6,7 +6,8 @@ schoolbook Gauss-Jordan, matrix and polynomial products one term at a
 time, generator polynomials through one linear factor and one root power
 at a time, divisibility through schoolbook long division, multiplicative
 orders through repeated multiplication, field products through the base-p
-digits of each code, and run lengths through exhaustive window scans.
+digits of each code, run lengths through exhaustive window scans, and the
+rooted distance search one column reduction at a time.
 """
 
 from __future__ import annotations
@@ -164,6 +165,47 @@ def dependent_subset_min_size(field, h_entries, max_size, rank=minor_rank) -> in
             if rank(field, sub) < w:
                 return w
     return None
+
+
+def rooted_dependent_search(field, h_entries, cap=None):
+    """(distance, visits) of the rooted dependent-column search, reducing
+    one column at a time, entry by entry, and building every child level.
+
+    Columns are visited depth first in index order with column 0 the only
+    first column; each level holds the columns after the last pivot,
+    reduced against every pivot.  `visits` counts each column visited, so a
+    budget of `visits` settles `exact_distance_small` on the same matrix and
+    one less does not.  The distance is None when a cap is given and no
+    subset of size <= cap is dependent.
+    """
+    m = len(h_entries)
+    limit = m + 1 if cap is None else min(cap, m + 1)
+    zero = [0] * m
+    best, visits = limit + 1, 0
+
+    def dfs(remaining, depth):
+        nonlocal best, visits
+        if depth == m:
+            if remaining and m + 1 < best:
+                best = m + 1
+            return
+        for idx, col in enumerate(remaining if depth else remaining[:1]):
+            if depth + 1 >= best:
+                return
+            visits += 1
+            if col == zero:
+                best = depth + 1
+                continue
+            if idx + 1 == len(remaining) or depth + 2 >= best:
+                continue
+            pos = next(i for i in range(m) if col[i])
+            lead_inv = field.inv(col[pos])
+            norm = [field.mul(lead_inv, x) for x in col]
+            dfs([[field.sub(x, field.mul(c[pos], y)) for x, y in zip(c, norm)] if c[pos] else c
+                 for c in remaining[idx + 1:]], depth + 1)
+
+    dfs([list(col) for col in zip(*h_entries)], 0)
+    return (best if best <= limit else None), visits
 
 
 def gauss_jordan_rref(field, rows):

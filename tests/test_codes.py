@@ -494,13 +494,21 @@ def test_exact_distance_rooted_search_fits_small_budget(monkeypatch):
     # column as the first one takes 92 evaluations on the [8, 5] code.  The
     # [8, 4] code closes a dependent set at a zero column mid-level, after
     # which the rest of that level is pruned.  `eliminations` counts the
-    # column reductions (sub_scaled calls) of one search: a node whose
-    # children could only tie `best` builds no reduced level for them
+    # sub_scaled calls of one search, each the reduction of one row of a
+    # child level against the pivot row: a node whose children could only
+    # tie `best` builds no reduced level for them, nor does a node whose
+    # children could only close a subset on their own first level (their
+    # visits come from the repeated column classes), nor one at depth
+    # rows(H) - 1, whose children would hold no row.  The cyclic [8, 4]
+    # code has H = [I | I]: on a level settled by lookup, column 4 has
+    # reduced to zero before the multiple of column 2 at column 6, and it
+    # closes the child of column 2 there
     code_8_5 = _code(5, 3, 8, elements=[1, 4, 7])
     code_8_4 = _code(5, 3, 8, elements=[7, 16, 19, 22])
     code_26 = _code(5, 2, 26, leaders=[13, 15, 17, 19])
+    code_repeat = _code(5, 1, 8, leaders=[0, 2, 4, 6])
     field = code_8_5.check_matrix.field
-    assert code_8_4.check_matrix.field is field and code_26.check_matrix.field is field
+    assert all(c.check_matrix.field is field for c in (code_8_4, code_26, code_repeat))
     calls = []
     sub_scaled = field.sub_scaled
 
@@ -510,9 +518,10 @@ def test_exact_distance_rooted_search_fits_small_budget(monkeypatch):
 
     monkeypatch.setattr(field, "sub_scaled", counting_sub_scaled)
     for code, cap, visits, eliminations, expected in [
-            (code_8_5, None, 29, 25, 4), (code_8_5, 3, 29, 20, None),
-            (code_8_4, None, 35, 25, 4),
-            (code_26, 4, 2626, 1539, None), (code_26, None, 245506, 177118, 8)]:
+            (code_8_5, None, 29, 3, 4), (code_8_5, 3, 29, 2, None),
+            (code_8_4, None, 35, 4, 4),
+            (code_26, 4, 2626, 101, None), (code_26, None, 245506, 19482, 8),
+            (code_repeat, 4, 10, 0, 2)]:
         calls.clear()
         assert exact_distance_small(code, cap=cap, budget=visits) == expected
         assert len(calls) == eliminations
@@ -589,6 +598,14 @@ def test_exact_distance_matches_exhaustive_subset_oracle(spec_args, data):
     if transform is not None:
         code = _row_transformed(code, transform)
     assert exact_distance_small(code, cap=cap) == expected
+    # the same subsets as the per-column search: its visit count is the
+    # exact budget that settles the search
+    h = code.check_matrix
+    distance, visits = oracles.rooted_dependent_search(h.field, [list(r) for r in h.entries], cap)
+    assert distance == expected
+    assert exact_distance_small(code, cap=cap, budget=visits) == expected
+    with pytest.raises(DistanceBudgetExceeded):
+        exact_distance_small(code, cap=cap, budget=visits - 1)
 
 
 # ---------------------------------------------------------------------------
