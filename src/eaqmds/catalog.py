@@ -17,6 +17,7 @@ from .codes import DEFAULT_DISTANCE_BUDGET
 from .eaq import VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK  # noqa: F401 (row schema)
 from .families import (FAMILY_ORDER, FamilyId, applicable_combos, construction,
                        fan_out, instance_params)
+from .fields import FACTOR_LIMIT, unfactorable_message
 
 CSV_HEADER = "family,q,h,n,k,d,c,mds,verified"
 
@@ -50,6 +51,12 @@ _FAMILY_RANK = {f.value: i for i, f in enumerate(FAMILY_ORDER)}
 
 class ConfigError(ValueError):
     """The run configuration is malformed."""
+
+
+def check_q_limit(q: int) -> None:
+    """Reject a q of 2^32 or more, which factorize cannot take."""
+    if q >= FACTOR_LIMIT:
+        raise ConfigError(unfactorable_message(q))
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,9 @@ class RunConfig:
             bad = [f for f in self.families if f.upper() not in valid]
             if bad:
                 raise ConfigError(f"unknown families {bad}; available: {sorted(valid)}")
+        # before selected_q builds a range up to such a bound
+        for q in [*(self.q_list or ()), *(self.q_range or ())]:
+            check_q_limit(q)
         if self.q_range is not None and self.q_range[0] > self.q_range[1]:
             raise ConfigError(f"q_range low {self.q_range[0]} exceeds high {self.q_range[1]}")
 

@@ -36,6 +36,7 @@ from operator import itemgetter
 from typing import Sequence
 
 FIELD_ORDER_BUDGET = 2**32
+FACTOR_LIMIT = 2**32
 _TABLE_MAX_ORDER = 1024
 _PACK_TABLE_MAX = 4096
 
@@ -44,10 +45,14 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
+def unfactorable_message(n: int) -> str:
+    return f"cannot factor {n}: trial division takes 1 <= n < 2^32"
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, which takes only 1 <= n < 2^32."""
-    if not 1 <= n < 2**32:
-        raise ValueError(f"cannot factor {n}: trial division takes 1 <= n < 2^32")
+    if not 1 <= n < FACTOR_LIMIT:
+        raise ValueError(unfactorable_message(n))
     facts: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

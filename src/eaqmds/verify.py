@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .catalog import ConfigError
+from .catalog import ConfigError, check_q_limit
 from .codes import DEFAULT_DISTANCE_BUDGET, CoefficientDescentError, build_code
 from .cosets import DefiningSet, make_spec
 from .families import (Construction, FamilyId, VerificationError, applicable_combos,
@@ -114,8 +114,9 @@ def run_verification(q_max: int = 13, families: list[FamilyId] | None = None,
     """Exercise every applicable family instance with q <= q_max.
 
     Raises ConfigError when no instance is in scope, since the descent
-    canary alone verifies no family.
+    canary alone verifies no family, and when q_max is 2^32 or more.
     """
+    check_q_limit(q_max)
     if families is not None and not families:
         raise ConfigError(f"no family instance in scope for q <= {q_max}: "
                           "the family selection is empty")

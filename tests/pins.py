@@ -1,0 +1,162 @@
+"""Pinned CLI output: the commands whose stdout bytes must never change.
+
+    python tests/pins.py
+
+Each row of PINS runs `python -m eaqmds.cli ARGV` from this checkout's src/
+(or, table-free, the same CLI with the field lookup-table cap patched to 0)
+in a new session, and kills the whole process group if the row's timeout
+runs out.  A pin passes only when the command exits 0, the sha256 of its raw
+stdout is the pinned digest, and its newline count is the pinned one where a
+count is given.  Every pin runs, also after a failure; the script prints one
+line per pin and a total, and exits 1 if any pin failed.
+
+Stdlib only, and not a pytest module: the table runs for over a minute, so
+it is run on its own; tests/test_pins.py checks the runner on cheap commands.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# patches the cap to 0, so that every field multiplies by packed products and
+# adds digit by digit, then runs the CLI on the remaining arguments
+TABLE_FREE = ("import sys, eaqmds.fields as f; f._TABLE_MAX_ORDER = 0; "
+              "from eaqmds.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+class Pin(NamedTuple):
+    argv: tuple[str, ...]
+    table_free: bool
+    sha256: str
+    lines: int | None
+    timeout: float
+
+
+class Outcome(NamedTuple):
+    problem: str | None  # None when the pin passed
+    seconds: float
+    sha256: str | None  # of the raw stdout, None when the run timed out
+
+
+PINS = [
+    # the bch-q120 golden stops at q = 120; the bch-only catalog up to
+    # q = 250 must keep the bytes it had before the defining-set sweep
+    Pin(("catalog", "--q-range", "3:250"), False,
+        "fae2f4d6784d07e8a205c00651e36090deb7ffb606b2e900dd6496a567338b68", None, 120),
+    # the bch-only catalog up to q = 400 (37,700 lines) must keep the bytes
+    # it had before the single-run check read the folded run starts
+    Pin(("catalog", "--q-range", "3:400"), False,
+        "929a3103165c323b6fefbbf62071151782dd54f1281c0c6b01334843aba86e3b", None, 120),
+    # verify up to q = 13 runs the exact-distance search on every feasible
+    # instance; its bytes must stay those of the unrooted search
+    Pin(("verify", "--q-max", "13"), False,
+        "da37ed8aa6063498470b7c0278fa70b04a4fa5f498f490edfd321958e83cb75a", None, 120),
+    # the same run over a real process pool, whose workers return the range
+    # notes with the instance lines, must print the same bytes
+    Pin(("verify", "--q-max", "13", "--workers", "2"), False,
+        "da37ed8aa6063498470b7c0278fa70b04a4fa5f498f490edfd321958e83cb75a", None, 120),
+    # verify up to q = 17 (158 lines) runs the exact-distance search on 45
+    # instances, 7 more than q = 13, among them codes over F_{17^2}; its
+    # bytes are those of the search that built every child level
+    Pin(("verify", "--q-max", "17"), False,
+        "2fdcb407494d7f778f4aa885244bf1dc3a94f3cdc7104552266727c786293ffa", 158, 120),
+    # verify up to q = 31 (518 lines) sweeps every family's defining sets
+    # through towers up to F_{31^4}, building each coset's minimal polynomial
+    # from the process-wide cache; its bytes are those of the per-row products
+    Pin(("verify", "--q-max", "31", "--no-exact-distance"), False,
+        "ebbd1f30114e6f5c37d42a706fdcc8c38ec141c380bb1904208dfc1f98f9bc6a", 518, 120),
+    # at a budget of 10^7 the catalog up to q = 13 settles 42 rows at
+    # exact-distance level (38 at the default budget), so the search runs on
+    # instances that the verify pins above never reach
+    Pin(("catalog", "--q-range", "3:13", "--exact-distance", "--distance-budget", "10000000"),
+        False, "2f49090d3625693eac34e184131289d23c444014770218bc676f016b594c0848", None, 120),
+    # the rank-tables-q17 golden stops at q = 17; the published table
+    # entries up to q = 23 at rank-oracle level must keep their bytes
+    Pin(("catalog", "--tables", "1,2,4,5,6", "--rank-oracle", "--q-range", "3:23"), False,
+        "58617004a088025c9d612d970c0006fb04fa27c6a6d80ba5873d563ad66c6648", None, 120),
+    # the published entries from q = 24 to 31 at rank-oracle level, 100
+    # lines (Q2P1_NEGA 25 and 29, Q2P1_CONSTA 31, QM1_H 29 h=5), keep the
+    # bytes they had when H was eliminated from the banded generator matrix
+    Pin(("catalog", "--tables", "1,2,6", "--rank-oracle", "--q-range", "24:31"), False,
+        "79aebf7034d4b8f37b2957e1f664fc098cc2122d4a0790128911801d0274d0aa", None, 120),
+    # tables 4 and 5 reach q = 53: their 80 lines build F_{37^2} to F_{53^2},
+    # above the lookup-table cap, and their F_{q^4} towers, so the packed
+    # product is on every line; the bytes are those of the digit-by-digit one
+    Pin(("catalog", "--tables", "4,5", "--rank-oracle"), False,
+        "99c6f34f2222caf35f0f85b916dd633da1be579703fc461d6952af6db3abfcba", None, 120),
+    # the published entries from q = 32 to 53 at rank-oracle level, 66 lines
+    # (Q2P1_CONSTA q=43 and QM1_H q=41 h=7 among them); with the pins above,
+    # every row of catalog --tables 1,2,4,5,6 --rank-oracle is pinned
+    Pin(("catalog", "--tables", "1,2,6", "--rank-oracle", "--q-range", "32:53"), False,
+        "ff25f49c0fe16ef0f64c2c3eb61155cc4c9bdf95663f893193b1ade6b6ad857c", None, 300),
+    # with the lookup-table cap patched to 0 in the process, every field
+    # multiplies by packed products and adds digit by digit; verify and the
+    # rank-oracle tables up to q = 23 must print the bytes pinned above
+    Pin(("verify", "--q-max", "13"), True,
+        "da37ed8aa6063498470b7c0278fa70b04a4fa5f498f490edfd321958e83cb75a", None, 120),
+    Pin(("catalog", "--tables", "1,2,4,5,6", "--rank-oracle", "--q-range", "3:23"), True,
+        "58617004a088025c9d612d970c0006fb04fa27c6a6d80ba5873d563ad66c6648", None, 120),
+]
+
+
+def check(pin: Pin) -> Outcome:
+    """Run pin's command once and compare its stdout with the pinned bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    head = ["-c", TABLE_FREE] if pin.table_free else ["-m", "eaqmds.cli"]
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *head, *pin.argv], cwd=ROOT, env=env,
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=pin.timeout)
+    except subprocess.TimeoutExpired:
+        # the session's group holds the command and any pool workers it started
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return Outcome(f"timed out after {pin.timeout:g} s", time.perf_counter() - t0, None)
+    seconds = time.perf_counter() - t0
+    digest = hashlib.sha256(out).hexdigest()
+    if proc.returncode != 0:
+        last = err.decode(errors="replace").strip().splitlines()[-1:] or [""]
+        return Outcome(f"exit {proc.returncode}: {last[0]}", seconds, digest)
+    problems = []
+    if digest != pin.sha256:
+        problems.append(f"sha256 {digest}, pinned {pin.sha256}")
+    lines = out.count(b"\n")
+    if pin.lines is not None and lines != pin.lines:
+        problems.append(f"{lines} lines, pinned {pin.lines}")
+    return Outcome("; ".join(problems) or None, seconds, digest)
+
+
+def main() -> int:
+    failed = 0
+    t0 = time.perf_counter()
+    for pin in PINS:
+        outcome = check(pin)
+        failed += outcome.problem is not None
+        verdict = "ok" if outcome.problem is None else "FAIL"
+        command = ("table-free " if pin.table_free else "") + " ".join(pin.argv)
+        print(f"{verdict:4} {outcome.seconds:6.1f} s  {command}  {outcome.sha256 or '-'}",
+              flush=True)
+        if outcome.problem is not None:
+            print(f"     {outcome.problem}", flush=True)
+    print(f"{len(PINS) - failed} of {len(PINS)} pins ok, {failed} failed, "
+          f"in {time.perf_counter() - t0:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -99,6 +100,33 @@ def test_huge_q_is_rejected_without_factoring(argv):
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"error: cannot factor {HUGE_Q}: trial division takes 1 <= n < 2^32\n")
+
+
+def _cap_address_space():
+    cap = 1536 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+# a q range up to 2^32 once built a 4.3-billion-element set and verify
+# --q-max 2^32 once looped over every odd q below it; the address-space cap
+# and the timeout make such a run fail here instead of exhausting the host
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--q-range", "3:4294967296"],
+    ["verify", "--q-max", "4294967296"],
+    ["catalog", "--q", "4294967296"],
+    ["--config", "{config}", "catalog"],
+], ids=["q-range", "verify-q-max", "q-list", "config-q-range"])
+def test_q_of_2_to_the_32_exits_2_at_once(argv, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"q_range": [3, 4294967296]}', encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eaqmds.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "eaqmds.cli",
+                           *(a.format(config=config) for a in argv)],
+                          capture_output=True, text=True, env=env, timeout=20,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: cannot factor 4294967296: trial division takes 1 <= n < 2^32"]
 
 
 # ---------------------------------------------------------------------------
