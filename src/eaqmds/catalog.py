@@ -3,7 +3,9 @@
 The published parameter tables are reproduced row-for-row: each table is a
 list of (q, h) entries expanded into one catalog row per admissible
 distance, and each row is the checked output of families.instance_params.
-A q or family selection filters the table entries too.
+A q or family selection filters the table entries too.  Each construction
+(family, q, h) is one fan_out task of rows_for_combo, built once however
+many tables list it.
 Output ordering is deterministic (family, q, h, d ascending) and
 serialization re-checks the Singleton equality of every MDS row.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .codes import DEFAULT_DISTANCE_BUDGET
 from .eaq import VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK  # noqa: F401 (row schema)
@@ -70,7 +73,7 @@ class CatalogRow:
     c: int
     mds: bool
     verified: str
-    source_table: int | None = None
+    source_table: int | None = None  # set only by the benchmark's table-entry runs
 
     def sort_key(self) -> tuple[int, int, int, int]:
         return (_FAMILY_RANK[self.family], self.q, self.h or 0, self.d)
@@ -140,11 +143,15 @@ class RunConfig:
             cfg.q_range = tuple(cfg.q_range)  # type: ignore[assignment]
         return cfg
 
-    def selected_q(self) -> list[int]:
+    def selected_q(self) -> list[int] | None:
+        """The q values selected in ascending order, None when none is set;
+        no construction takes a q below 3, so a range is built from 3."""
+        if not self.q_list and self.q_range is None:
+            return None
         qs: set[int] = set(self.q_list or [])
         if self.q_range is not None:
             lo, hi = self.q_range
-            qs.update(range(lo, hi + 1))
+            qs.update(range(max(lo, 3), hi + 1))
         return sorted(qs)
 
     def family_filter(self) -> list[FamilyId]:
@@ -230,36 +237,27 @@ def rows_for_combo(family: FamilyId, q: int, h: int | None, *,
     return rows
 
 
-def _combo_task(args: tuple) -> list[CatalogRow]:
-    family, q, h, opts, source_table = args
-    return rows_for_combo(family, q, h, source_table=source_table, **opts)
-
-
 def generate_catalog(config: RunConfig) -> tuple[list[CatalogRow], list[str]]:
     """All requested rows plus footnote lines, deterministically ordered."""
     config.validate()
-    opts = dict(rank_oracle=config.rank_oracle,
-                exact_distance=config.exact_distance,
-                distance_budget=config.distance_budget)
-    combos: dict[tuple, int | None] = {}  # (family, q, h) -> source table
+    qs, families = config.selected_q(), config.family_filter()
     if config.tables:
-        # an entry listed in two tables is built once, for the first table
-        for table in sorted(config.tables):
-            for q, h in TABLE_ENTRIES[table]:
-                combos.setdefault((TABLE_FAMILY[table] or table1_family(q), q, h), table)
-        opts["include_qmds_datapoints"] = False
+        # an entry listed in two tables is built once; the q and family
+        # selections filter the entries, and an unset q selection keeps all
+        wanted = None if qs is None else set(qs)
+        combos = [combo for combo in dict.fromkeys(
+                      (TABLE_FAMILY[table] or table1_family(q), q, h)
+                      for table in sorted(config.tables) for q, h in TABLE_ENTRIES[table])
+                  if combo[0] in families and (wanted is None or combo[1] in wanted)]
+    elif qs is None:
+        raise ConfigError("no q values selected: set tables, q_list, or q_range")
     else:
-        q_values = config.selected_q()
-        if not q_values:
-            raise ConfigError("no q values selected: set tables, q_list, or q_range")
-        combos = dict.fromkeys(applicable_combos(q_values))
-        opts["include_qmds_datapoints"] = config.include_qmds_datapoints
-    # one selection for both modes; an unset q or family selection keeps all
-    qs, families = set(config.selected_q()), config.family_filter()
-    tasks = [(family, q, h, opts, table) for (family, q, h), table in combos.items()
-             if family in families and (not qs or q in qs)]
-
-    rows = [row for chunk in fan_out(_combo_task, tasks, config.workers) for row in chunk]
+        combos = applicable_combos(qs, families)
+    datapoints = config.include_qmds_datapoints and not config.tables  # no table lists one
+    rows_of = partial(rows_for_combo, rank_oracle=config.rank_oracle,
+                      exact_distance=config.exact_distance,
+                      distance_budget=config.distance_budget, include_qmds_datapoints=datapoints)
+    rows = [row for chunk in fan_out(rows_of, combos, config.workers) for row in chunk]
     rows.sort(key=CatalogRow.sort_key)
 
     notes = []

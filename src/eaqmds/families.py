@@ -9,7 +9,8 @@ the catalog, the verification suite and the `family` command all call it,
 at the verification level they need.  It compares no ebit oracle itself:
 eaq.ebit_mismatches, which `eaqmds code --rank-oracle` calls too, is the one
 place the exact oracles meet |T_ss|, and a further exact oracle is added
-there only.
+there only.  The catalog and the verification suite hand fan_out the same
+(family, q, h) tasks, with a partial of one module-level sweep each.
 
 The defining sets of one construction are nested, T_k = T_{k-1} | C(start
 + r*k), so they are built as one sweep: Construction.defining_sets adds one
@@ -212,10 +213,12 @@ def instance_params(c: Construction, k: int, t: DefiningSet, *,
     return params
 
 
-def applicable_combos(q_values: list[int]) -> list[tuple[FamilyId, int, int | None]]:
-    """Every (family, q, h) combination applicable among the given q."""
+def applicable_combos(q_values: list[int], families: Iterable[FamilyId] | None = None
+                      ) -> list[tuple[FamilyId, int, int | None]]:
+    """Every (family, q, h) combination applicable among the given q, of the
+    given families (all when None), in family order."""
     combos: list[tuple[FamilyId, int, int | None]] = []
-    for family in FAMILY_ORDER:
+    for family in (f for f in FAMILY_ORDER if families is None or f in families):
         for q in sorted(q_values):
             for h in (3, 5, 7) if family is FamilyId.QM1_H else (None,):
                 try:
@@ -235,18 +238,19 @@ def odd_prime_powers(limit: int) -> list[int]:
     return out
 
 
-def fan_out(fn: Callable, tasks: list, workers: int) -> list:
-    """[fn(task) for task in tasks], over a process pool when workers > 1.
+def fan_out(fn: Callable, tasks: list[tuple], workers: int) -> list:
+    """[fn(*task) for task in tasks], over a process pool when workers > 1;
+    either way the results keep the order of the tasks.
 
     The pool starts no more processes than there are tasks or CPUs, since
     a forked pool starts all of them at the first submit.  fn and the
     tasks are pickled for the workers, so fn must be a module-level
-    function.
+    function or a functools.partial of one.
     """
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*task) for task in tasks]

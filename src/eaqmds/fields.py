@@ -35,7 +35,6 @@ from itertools import compress, count, islice
 from operator import itemgetter
 from typing import Sequence
 
-FIELD_ORDER_BUDGET = 2**32
 FACTOR_LIMIT = 2**32
 _TABLE_MAX_ORDER = 1024
 _PACK_TABLE_MAX = 4096
@@ -450,8 +449,9 @@ def make_field(p: int, degree: int = 1) -> Field:
         raise ValueError(f"characteristic {p} is not prime")
     if degree < 1:
         raise ValueError(f"extension degree must be >= 1, got {degree}")
-    if p**degree > FIELD_ORDER_BUDGET:
-        raise ValueError(f"field order {p}^{degree} exceeds the {FIELD_ORDER_BUDGET} budget")
+    # _order_facts factorizes order - 1, which factorize takes below FACTOR_LIMIT
+    if p**degree > FACTOR_LIMIT:
+        raise ValueError(f"field order {p}^{degree} exceeds the {FACTOR_LIMIT} budget")
     return Field(p, degree, _canonical_modulus(p, degree))
 
 

@@ -5,21 +5,22 @@ the rank oracle on, which checks the predicted |T_ss| against the computed
 decomposition and against rank(H H^dagger), the BCH bound against the
 defining-set run length, the Singleton equality, and (where the enumeration
 budget allows) the exact minimum distance.  A failed instance becomes a
-FAIL line instead of stopping the run.  Each construction's T_k chain is
-swept once, one index past its proved range; the same sweep's |T_ss|
-counts give the note on where the published range statement and the
-computed |T_ss| disagree.
+FAIL line instead of stopping the run.  Each construction (family, q, h)
+is one fan_out task, whose T_k chain _combo_reports sweeps once, one index
+past its proved range; the same sweep's |T_ss| counts give the note on
+where the published range statement and the computed |T_ss| disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .catalog import ConfigError, check_q_limit
 from .codes import DEFAULT_DISTANCE_BUDGET, CoefficientDescentError, build_code
 from .cosets import DefiningSet, make_spec
-from .families import (Construction, FamilyId, VerificationError, applicable_combos,
-                       construction, fan_out, instance_params, odd_prime_powers)
+from .families import (FamilyId, VerificationError, applicable_combos, construction,
+                       fan_out, instance_params, odd_prime_powers)
 
 
 @dataclass
@@ -57,25 +58,20 @@ class VerifyReport:
                 f"{len(self.instances) - self.failures} ok, {self.failures} failed")
 
 
-def _check_instance(c: Construction, k: int, t: DefiningSet, exact_distance: bool,
-                    budget: int) -> InstanceReport:
-    try:
-        params = instance_params(c, k, t, rank_oracle=True,
-                                 exact_distance=exact_distance, distance_budget=budget)
-    except VerificationError as exc:  # surfaced as a FAIL line, not a crash
-        return InstanceReport(c.label(k), "-", exc.verified, [str(exc)])
-    return InstanceReport(c.label(k), str(params), params.verified)
-
-
-def _combo_reports(args: tuple) -> tuple[list[InstanceReport], str]:
+def _combo_reports(family: FamilyId, q: int, h: int | None, exact_distance: bool,
+                   budget: int) -> tuple[list[InstanceReport], str]:
     """The instance reports and the range note of one construction."""
-    family, q, h, exact_distance, budget = args
     c = construction(family, q, h)
     reports, tss = [], []  # tss[i] is |T_ss| of T_{lo+i}, for lo <= k <= hi + 1
     for k, t in c.defining_sets(range(c.lo, c.hi + 2)):
         tss.append(len(t.t_ss))
         if k <= c.hi:
-            reports.append(_check_instance(c, k, t, exact_distance, budget))
+            try:
+                params = instance_params(c, k, t, rank_oracle=True,
+                                         exact_distance=exact_distance, distance_budget=budget)
+                reports.append(InstanceReport(c.label(k), str(params), params.verified))
+            except VerificationError as exc:  # surfaced as a FAIL line, not a crash
+                reports.append(InstanceReport(c.label(k), "-", exc.verified, [str(exc)]))
     if family is FamilyId.QM1_H:
         head = f"{family.value} q={q} h={h}"
         if 1 not in tss[:-1]:
@@ -120,16 +116,14 @@ def run_verification(q_max: int = 13, families: list[FamilyId] | None = None,
     if families is not None and not families:
         raise ConfigError(f"no family instance in scope for q <= {q_max}: "
                           "the family selection is empty")
-    combos = applicable_combos(odd_prime_powers(q_max))
-    if families is not None:
-        combos = [c for c in combos if c[0] in families]
+    combos = applicable_combos(odd_prime_powers(q_max), families)
     if not combos:
         names = "any family" if families is None else ", ".join(f.value for f in families)
         raise ConfigError(f"no family instance in scope for q <= {q_max} and {names}")
-    tasks = [(family, q, h, exact_distance, distance_budget) for family, q, h in combos]
 
     report = VerifyReport()
-    for reports, note in fan_out(_combo_reports, tasks, workers):
+    check = partial(_combo_reports, exact_distance=exact_distance, budget=distance_budget)
+    for reports, note in fan_out(check, combos, workers):
         report.instances.extend(reports)
         report.notes.append(note)
     report.instances.append(_descent_canary())

@@ -90,6 +90,11 @@ PINS = [
     # bytes they had when H was eliminated from the banded generator matrix
     Pin(("catalog", "--tables", "1,2,6", "--rank-oracle", "--q-range", "24:31"), False,
         "79aebf7034d4b8f37b2957e1f664fc098cc2122d4a0790128911801d0274d0aa", None, 120),
+    # the same entries over a real process pool, whose workers each build
+    # whole constructions from (family, q, h) tasks, must print the serial bytes
+    Pin(("catalog", "--tables", "1,2,6", "--rank-oracle", "--q-range", "24:31",
+         "--workers", "2"), False,
+        "79aebf7034d4b8f37b2957e1f664fc098cc2122d4a0790128911801d0274d0aa", None, 120),
     # tables 4 and 5 reach q = 53: their 80 lines build F_{37^2} to F_{53^2},
     # above the lookup-table cap, and their F_{q^4} towers, so the packed
     # product is on every line; the bytes are those of the digit-by-digit one

@@ -97,13 +97,13 @@ def test_an_entry_in_two_tables_is_built_once(monkeypatch):
     original = catalog.rows_for_combo
 
     def counted(family, q, h, **kwargs):
-        calls.append((family, q, h, kwargs["source_table"]))
+        calls.append((family, q, h))
         return original(family, q, h, **kwargs)
 
     monkeypatch.setattr(catalog, "rows_for_combo", counted)
     generate_catalog(RunConfig(tables=[1, 2]))
     assert len(calls) == 11
-    assert [c for c in calls if c[1] == 19] == [(FamilyId.Q2P1_CONSTA, 19, None, 1)]
+    assert [c for c in calls if c[1] == 19] == [(FamilyId.Q2P1_CONSTA, 19, None)]
 
 
 def test_csv_and_json_hold_identical_rows():

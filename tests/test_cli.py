@@ -129,6 +129,24 @@ def test_q_of_2_to_the_32_exits_2_at_once(argv, tmp_path):
         "error: cannot factor 4294967296: trial division takes 1 <= n < 2^32"]
 
 
+# a range from -2^32 once built a 4.3-billion-element set; no construction
+# takes a q below 3, so each of these selects what --q-range 3:3 selects,
+# nothing, and prints the header only instead of falling back to the tables
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--q-range=-4294967296:3"],
+    ["catalog", "--q-range=-5:-1"],
+    ["catalog", "--q-range", "1:2"],
+], ids=["from-minus-2-to-the-32", "negative", "below-3"])
+def test_q_range_below_3_selects_nothing_at_once(argv, capsys):
+    code, expected, _ = run_cli(capsys, "catalog", "--q-range", "3:3")
+    assert code == 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eaqmds.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "eaqmds.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20,
+                          preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
 # ---------------------------------------------------------------------------
 # decompose and code
 # ---------------------------------------------------------------------------

@@ -385,7 +385,7 @@ def test_verify_beyond_range_notes_are_pinned():
     # note; these lines were taken before the notes read the Construction record
     combos = [(NEGA, 13, None), (CONSTA, 11, None), (T3, 13, None), (T7, 17, None),
               (QM1, 19, 5)]
-    notes = [_combo_reports((*combo, False, DEFAULT_DISTANCE_BUDGET))[1] for combo in combos]
+    notes = [_combo_reports(*combo, False, DEFAULT_DISTANCE_BUDGET)[1] for combo in combos]
     assert notes == [
         "Q2P1_NEGA q=13: |T_ss|=4 holds for (q+1)/2 <= k <= (3q-3)/2; "
         "at k=(3q-1)/2 the computed |T_ss| is 8",
@@ -448,8 +448,8 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("workers,tasks,cpus,started", [
@@ -466,7 +466,7 @@ def test_fan_out_pool_size(monkeypatch, workers, tasks, cpus, started):
     monkeypatch.setattr(_SerialPool, "started", [])
     monkeypatch.setattr(families.os, "cpu_count", lambda: cpus)
     items = list(range(tasks))
-    assert families.fan_out(abs, [-i for i in items], workers) == items
+    assert families.fan_out(abs, [(-i,) for i in items], workers) == items
     assert _SerialPool.started == started
 
 
