@@ -3,9 +3,11 @@
 The published parameter tables are reproduced row-for-row: each table is a
 list of (q, h) entries expanded into one catalog row per admissible
 distance, and each row is the checked output of families.instance_params.
-A q or family selection filters the table entries too.  Each construction
-(family, q, h) is one fan_out task of rows_for_combo, built once however
-many tables list it.
+A q or family selection filters the table entries too, by membership, so a
+table run never builds a q range.  Each construction (family, q, h) is one
+fan_out task of rows_for_combo, built once however many tables list it.
+A RunConfig is frozen and checks its keys when it is made, so whatever
+holds one, generate_catalog included, holds valid settings.
 Output ordering is deterministic (family, q, h, d ascending) and
 serialization re-checks the Singleton equality of every MDS row.
 """
@@ -89,9 +91,9 @@ class CatalogRow:
         return f"{self.family},{self.q},{h},{self.n},{self.k},{self.d},{self.c},{mds},{self.verified}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Catalog/verification run parameters; flat keys for the config file."""
+    """Catalog/verification run parameters, checked when made; flat config keys."""
 
     tables: list[int] | None = None
     families: list[str] | None = None
@@ -106,7 +108,7 @@ class RunConfig:
     workers: int = 1
     include_qmds_datapoints: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for key, value in vars(self).items():
             _check_key_type(key, value)
         if self.format not in ("csv", "json"):
@@ -129,19 +131,17 @@ class RunConfig:
         # before selected_q builds a range up to such a bound
         for q in [*(self.q_list or ()), *(self.q_range or ())]:
             check_q_limit(q)
-        if self.q_range is not None and self.q_range[0] > self.q_range[1]:
-            raise ConfigError(f"q_range low {self.q_range[0]} exceeds high {self.q_range[1]}")
+        if self.q_range is not None:
+            if self.q_range[0] > self.q_range[1]:
+                raise ConfigError(f"q_range low {self.q_range[0]} exceeds high {self.q_range[1]}")
+            object.__setattr__(self, "q_range", tuple(self.q_range))
 
     @classmethod
     def from_dict(cls, data: dict) -> RunConfig:
         unknown = set(data) - set(_KEY_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
-        if cfg.q_range is not None:
-            cfg.q_range = tuple(cfg.q_range)  # type: ignore[assignment]
-        return cfg
+        return cls(**data)
 
     def selected_q(self) -> list[int] | None:
         """The q values selected in ascending order, None when none is set;
@@ -153,6 +153,13 @@ class RunConfig:
             lo, hi = self.q_range
             qs.update(range(max(lo, 3), hi + 1))
         return sorted(qs)
+
+    def selects_q(self, q: int) -> bool:
+        """Whether the q selection takes q; with none set, every q is taken."""
+        if not self.q_list and self.q_range is None:
+            return True
+        in_range = self.q_range is not None and self.q_range[0] <= q <= self.q_range[1]
+        return in_range or q in (self.q_list or ())
 
     def family_filter(self) -> list[FamilyId]:
         if self.families is None:
@@ -239,17 +246,15 @@ def rows_for_combo(family: FamilyId, q: int, h: int | None, *,
 
 def generate_catalog(config: RunConfig) -> tuple[list[CatalogRow], list[str]]:
     """All requested rows plus footnote lines, deterministically ordered."""
-    config.validate()
-    qs, families = config.selected_q(), config.family_filter()
+    families = config.family_filter()
     if config.tables:
         # an entry listed in two tables is built once; the q and family
-        # selections filter the entries, and an unset q selection keeps all
-        wanted = None if qs is None else set(qs)
+        # selections filter the entries without building the q selection
         combos = [combo for combo in dict.fromkeys(
                       (TABLE_FAMILY[table] or table1_family(q), q, h)
                       for table in sorted(config.tables) for q, h in TABLE_ENTRIES[table])
-                  if combo[0] in families and (wanted is None or combo[1] in wanted)]
-    elif qs is None:
+                  if combo[0] in families and config.selects_q(combo[1])]
+    elif (qs := config.selected_q()) is None:
         raise ConfigError("no q values selected: set tables, q_list, or q_range")
     else:
         combos = applicable_combos(qs, families)

@@ -257,7 +257,7 @@ def cmd_family(args, cfg: RunConfig) -> int:
 
 
 def cmd_catalog(args, cfg: RunConfig) -> int:
-    if cfg.tables is None and cfg.selected_q() is None:
+    if cfg.tables is None and not cfg.q_list and cfg.q_range is None:
         cfg = dataclasses.replace(cfg, tables=sorted(TABLE_ENTRIES))
     rows, notes = generate_catalog(cfg)
     _emit(serialize(rows, cfg.format, notes), cfg)

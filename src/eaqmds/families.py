@@ -128,9 +128,12 @@ class Construction:
 def construction(family: FamilyId, q: int, h: int | None = None) -> Construction:
     """The construction of (family, q, h); FamilyError if it is not applicable.
 
-    The first failing check names the error: q an odd prime power, then the
-    family's own condition on q (or h), then h given to a family without one.
+    The first failing check names the error: family a FamilyId, then q an
+    odd prime power, then the family's own condition on q (or h), then h
+    given to a family without one.
     """
+    if not isinstance(family, FamilyId):
+        raise FamilyError(f"family must be a FamilyId, got {family!r}")
     if q % 2 == 0 or q < 3 or len(factorize(q)) != 1:
         raise FamilyError(f"q={q} must be an odd prime power")
     if family is FamilyId.QM1_H:
@@ -216,9 +219,14 @@ def instance_params(c: Construction, k: int, t: DefiningSet, *,
 def applicable_combos(q_values: list[int], families: Iterable[FamilyId] | None = None
                       ) -> list[tuple[FamilyId, int, int | None]]:
     """Every (family, q, h) combination applicable among the given q, of the
-    given families (all when None), in family order."""
+    given families (all when None), in family order; FamilyError if one of
+    the families is not a FamilyId."""
+    wanted = FAMILY_ORDER if families is None else list(families)
+    for family in wanted:
+        if not isinstance(family, FamilyId):
+            raise FamilyError(f"family must be a FamilyId, got {family!r}")
     combos: list[tuple[FamilyId, int, int | None]] = []
-    for family in (f for f in FAMILY_ORDER if families is None or f in families):
+    for family in (f for f in FAMILY_ORDER if f in wanted):
         for q in sorted(q_values):
             for h in (3, 5, 7) if family is FamilyId.QM1_H else (None,):
                 try:

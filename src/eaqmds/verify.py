@@ -5,7 +5,9 @@ the rank oracle on, which checks the predicted |T_ss| against the computed
 decomposition and against rank(H H^dagger), the BCH bound against the
 defining-set run length, the Singleton equality, and (where the enumeration
 budget allows) the exact minimum distance.  A failed instance becomes a
-FAIL line instead of stopping the run.  Each construction (family, q, h)
+FAIL line instead of stopping the run.  run_verification checks its level,
+budget and worker count by making a RunConfig of them, as the CLI's
+settings are checked.  Each construction (family, q, h)
 is one fan_out task, whose T_k chain _combo_reports sweeps once, one index
 past its proved range; the same sweep's |T_ss| counts give the note on
 where the published range statement and the computed |T_ss| disagree.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .catalog import ConfigError, check_q_limit
+from .catalog import ConfigError, RunConfig, check_q_limit
 from .codes import DEFAULT_DISTANCE_BUDGET, CoefficientDescentError, build_code
 from .cosets import DefiningSet, make_spec
 from .families import (FamilyId, VerificationError, applicable_combos, construction,
@@ -109,9 +111,11 @@ def run_verification(q_max: int = 13, families: list[FamilyId] | None = None,
                      workers: int = 1) -> VerifyReport:
     """Exercise every applicable family instance with q <= q_max.
 
-    Raises ConfigError when no instance is in scope, since the descent
-    canary alone verifies no family, and when q_max is 2^32 or more.
+    Raises ConfigError for a keyword a RunConfig rejects, when no instance
+    is in scope, since the descent canary alone verifies no family, and
+    when q_max is 2^32 or more.
     """
+    RunConfig(exact_distance=exact_distance, distance_budget=distance_budget, workers=workers)
     check_q_limit(q_max)
     if families is not None and not families:
         raise ConfigError(f"no family instance in scope for q <= {q_max}: "

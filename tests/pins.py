@@ -12,6 +12,8 @@ line per pin and a total, and exits 1 if any pin failed.
 
 Stdlib only, and not a pytest module: the table runs for over a minute, so
 it is run on its own; tests/test_pins.py checks the runner on cheap commands.
+The tests that must run the CLI in a child process, with a timeout or an
+address-space cap, use the same runner, run().
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -115,32 +117,46 @@ PINS = [
 ]
 
 
-def check(pin: Pin) -> Outcome:
-    """Run pin's command once and compare its stdout with the pinned bytes."""
+def run(argv: Sequence[str], timeout: float, *, table_free: bool = False,
+        preexec_fn: Callable[[], object] | None = None) -> subprocess.CompletedProcess:
+    """Run the CLI on argv from this checkout's src/ in a new session, with
+    stdout and stderr captured as bytes; preexec_fn runs in the child before
+    the CLI starts.  If the timeout runs out, the whole process group is
+    killed and subprocess.TimeoutExpired raised."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    head = ["-c", TABLE_FREE] if pin.table_free else ["-m", "eaqmds.cli"]
-    t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *head, *pin.argv], cwd=ROOT, env=env,
+    head = ["-c", TABLE_FREE] if table_free else ["-m", "eaqmds.cli"]
+    proc = subprocess.Popen([sys.executable, *head, *argv], cwd=ROOT, env=env,
                             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, start_new_session=True)
+                            stderr=subprocess.PIPE, start_new_session=True,
+                            preexec_fn=preexec_fn)
     try:
-        out, err = proc.communicate(timeout=pin.timeout)
+        out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         # the session's group holds the command and any pool workers it started
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
+        raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+def check(pin: Pin) -> Outcome:
+    """Run pin's command once and compare its stdout with the pinned bytes."""
+    t0 = time.perf_counter()
+    try:
+        proc = run(pin.argv, pin.timeout, table_free=pin.table_free)
+    except subprocess.TimeoutExpired:
         return Outcome(f"timed out after {pin.timeout:g} s", time.perf_counter() - t0, None)
     seconds = time.perf_counter() - t0
-    digest = hashlib.sha256(out).hexdigest()
+    digest = hashlib.sha256(proc.stdout).hexdigest()
     if proc.returncode != 0:
-        last = err.decode(errors="replace").strip().splitlines()[-1:] or [""]
+        last = proc.stderr.decode(errors="replace").strip().splitlines()[-1:] or [""]
         return Outcome(f"exit {proc.returncode}: {last[0]}", seconds, digest)
     problems = []
     if digest != pin.sha256:
         problems.append(f"sha256 {digest}, pinned {pin.sha256}")
-    lines = out.count(b"\n")
+    lines = proc.stdout.count(b"\n")
     if pin.lines is not None and lines != pin.lines:
         problems.append(f"{lines} lines, pinned {pin.lines}")
     return Outcome("; ".join(problems) or None, seconds, digest)

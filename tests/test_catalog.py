@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -9,6 +10,7 @@ from eaqmds.catalog import (CatalogRow, ConfigError, RunConfig, TABLE_ENTRIES,
                             serialize_csv, serialize_json, table1_family)
 from eaqmds.codes import distance_check_feasible
 from eaqmds.families import FamilyId
+from eaqmds.verify import run_verification
 
 
 def test_table1_family_resolution():
@@ -18,16 +20,38 @@ def test_table1_family_resolution():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        RunConfig(format="xml").validate()
+        RunConfig(format="xml")
     with pytest.raises(ConfigError):
-        RunConfig(workers=0).validate()
+        RunConfig(workers=0)
     with pytest.raises(ConfigError):
-        RunConfig(distance_cap=0).validate()
+        RunConfig(distance_cap=0)
     with pytest.raises(ConfigError):
-        RunConfig(tables=[3]).validate()
+        RunConfig(tables=[3])
     with pytest.raises(ConfigError):
-        RunConfig(families=["NOPE"]).validate()
-    RunConfig(tables=[1, 6], families=["qm1_h"], workers=2).validate()
+        RunConfig(families=["NOPE"])
+    RunConfig(tables=[1, 6], families=["qm1_h"], workers=2)
+
+
+def test_config_is_frozen_and_rechecked_on_replace():
+    cfg = RunConfig.from_dict({"q_range": [3, 7]})
+    assert cfg.q_range == (3, 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.workers = 2
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, workers=0)
+
+
+# run_verification once took any budget or worker count: a budget of 0 or -1
+# dropped every row to rank-oracle, and 0 workers ran serially
+@pytest.mark.parametrize("keywords,message", [
+    ({"distance_budget": 0}, "distance budget must be positive"),
+    ({"distance_budget": -1}, "distance budget must be positive"),
+    ({"workers": 0}, "workers must be >= 1"),
+], ids=["budget-0", "budget-negative", "workers-0"])
+def test_run_verification_checks_its_settings(keywords, message):
+    with pytest.raises(ConfigError) as err:
+        run_verification(q_max=5, **keywords)
+    assert str(err.value) == message
 
 
 def test_config_from_file_round_trip(tmp_path):

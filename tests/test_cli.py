@@ -1,23 +1,28 @@
 import hashlib
 import json
-import os
 import resource
 import subprocess
-import sys
 
 import pytest
 
-import eaqmds
 from eaqmds import cli, codes
 from eaqmds.cli import main
 from eaqmds.codes import exact_distance_small
 from eaqmds.cosets import all_cosets, make_spec
+from pins import run
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(argv, timeout, preexec_fn=None):
+    """pins.run's result for argv, with stdout and stderr decoded."""
+    proc = run(argv, timeout, preexec_fn=preexec_fn)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, proc.stdout.decode(),
+                                       proc.stderr.decode())
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +82,7 @@ def test_cosets_invalid_spec_exit_2(capsys):
      "", "error: ebit count 1 outside [0, 0]\n"),
 ], ids=["cosets", "decompose", "code-rank-oracle"])
 def test_length_one_spec_terminates(argv, rc, out, err):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eaqmds.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "eaqmds.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_child(argv, 60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
 
 
@@ -95,9 +98,7 @@ HUGE_Q = "1000000000000000009"
     ["catalog", "--q", HUGE_Q],
 ], ids=["cosets", "family", "catalog"])
 def test_huge_q_is_rejected_without_factoring(argv):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eaqmds.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "eaqmds.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_child(argv, 60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"error: cannot factor {HUGE_Q}: trial division takes 1 <= n < 2^32\n")
 
@@ -119,11 +120,8 @@ def _cap_address_space():
 def test_q_of_2_to_the_32_exits_2_at_once(argv, tmp_path):
     config = tmp_path / "config.json"
     config.write_text('{"q_range": [3, 4294967296]}', encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eaqmds.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "eaqmds.cli",
-                           *(a.format(config=config) for a in argv)],
-                          capture_output=True, text=True, env=env, timeout=20,
-                          preexec_fn=_cap_address_space)
+    proc = run_child([a.format(config=config) for a in argv], 20,
+                     preexec_fn=_cap_address_space)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "error: cannot factor 4294967296: trial division takes 1 <= n < 2^32"]
@@ -140,11 +138,18 @@ def test_q_of_2_to_the_32_exits_2_at_once(argv, tmp_path):
 def test_q_range_below_3_selects_nothing_at_once(argv, capsys):
     code, expected, _ = run_cli(capsys, "catalog", "--q-range", "3:3")
     assert code == 0
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eaqmds.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "eaqmds.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=20,
-                          preexec_fn=_cap_address_space)
+    proc = run_child(argv, 20, preexec_fn=_cap_address_space)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+# a q selection only filters the table entries, yet --tables with a range up
+# to 2^32 - 1 once built that range first and ran out of memory
+def test_tables_with_a_q_range_up_to_2_to_the_32_filter_the_entries_only():
+    proc = run(["catalog", "--tables", "4", "--q-range", "3:4294967295"], 20,
+               preexec_fn=_cap_address_space)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "472badbdf9546d1f02dcc83c53f120dd9b919bbd8e374d2df0955b640909e252")
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +537,7 @@ def test_catalog_reversed_q_range_exit_2(capsys):
 def test_config_key_types_exit_2(tmp_path, config):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eaqmds.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "eaqmds.cli", "--config", str(path),
-                           "catalog", "--tables", "4"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_child(["--config", str(path), "catalog", "--tables", "4"], 60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: config key ") and proc.stderr.count("\n") == 1

@@ -13,7 +13,8 @@ from eaqmds.cosets import DefiningSet, coset, is_skew_symmetric, skew_partner
 from eaqmds.families import (FamilyError, FamilyId, VerificationError,
                              applicable_combos, construction, family_spec,
                              instance_params, odd_prime_powers)
-from eaqmds.verify import _combo_reports
+from eaqmds.catalog import rows_for_combo
+from eaqmds.verify import _combo_reports, run_verification
 
 import oracles
 
@@ -51,6 +52,23 @@ def test_applicability_errors():
         with pytest.raises(FamilyError) as err:
             construction(family, q, h)
         assert str(err.value) == message
+
+
+# a family given by name once fell through to the Q2P1 branch of
+# construction, or was filtered out or failed later with an AttributeError
+@pytest.mark.parametrize("call,name", [
+    (lambda: construction("TENTH_3", 13), "TENTH_3"),
+    (lambda: construction("Q2P1_NEGA", 5), "Q2P1_NEGA"),
+    (lambda: construction("QM1_H", 11, 3), "QM1_H"),
+    (lambda: applicable_combos([5, 7], ["QM1_H"]), "QM1_H"),
+    (lambda: rows_for_combo("Q2P1_NEGA", 5, None), "Q2P1_NEGA"),
+    (lambda: run_verification(q_max=5, families=["QM1_H"]), "QM1_H"),
+], ids=["construction-tenth3", "construction-nega", "construction-qm1",
+        "applicable_combos", "rows_for_combo", "run_verification"])
+def test_a_family_given_by_name_is_rejected(call, name):
+    with pytest.raises(FamilyError) as err:
+        call()
+    assert str(err.value) == f"family must be a FamilyId, got {name!r}"
 
 
 def test_k_out_of_range_rejected():
