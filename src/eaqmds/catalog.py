@@ -93,11 +93,15 @@ class CatalogRow:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Catalog/verification run parameters, checked when made; flat config keys."""
+    """Catalog/verification run parameters, checked when made; flat config keys.
 
-    tables: list[int] | None = None
-    families: list[str] | None = None
-    q_list: list[int] | None = None
+    A list-valued key is stored as a tuple, so a config is immutable all the
+    way down and hashable.
+    """
+
+    tables: tuple[int, ...] | None = None
+    families: tuple[str, ...] | None = None
+    q_list: tuple[int, ...] | None = None
     q_range: tuple[int, int] | None = None
     rank_oracle: bool = False
     exact_distance: bool = False
@@ -111,6 +115,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         for key, value in vars(self).items():
             _check_key_type(key, value)
+            if value is not None and _KEY_TYPES[key][1] != "one":
+                object.__setattr__(self, key, tuple(value))
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.workers < 1:
@@ -134,7 +140,6 @@ class RunConfig:
         if self.q_range is not None:
             if self.q_range[0] > self.q_range[1]:
                 raise ConfigError(f"q_range low {self.q_range[0]} exceeds high {self.q_range[1]}")
-            object.__setattr__(self, "q_range", tuple(self.q_range))
 
     @classmethod
     def from_dict(cls, data: dict) -> RunConfig:

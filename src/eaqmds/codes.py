@@ -11,10 +11,12 @@ coefficient outside F_{q^2}.  The defining sets of one construction are
 nested, so `minimal_polynomial` caches each coset's descended factor by
 (spec, orbit) for the life of the process, like `build_tower`: a sweep of
 K rows builds each of its cosets once, not once per row.  The roots are
-read from a per-spec table of omega^s for the n classes s of Omega, filled
-on first use with n multiplications by omega^r.  The caches grow by one
-entry per coset built and n powers per spec.  A failed descent raises and
-is not cached, so a set that splits a coset is rejected on every build.
+read from `Tower.powers`, the table of omega^s for the n classes s of
+Omega, built with the tower by n multiplications by omega^r.  The caches
+grow by one entry per coset built and one tower of n powers per spec.  A
+failed descent raises and is not cached, so a set that splits a coset is
+rejected on every build.  The top-field products stay per-element calls:
+the row kernels would tabulate a top field that nothing else tabulates.
 
 The generator matrix is built already reduced, the systematic encoder of
 a cyclic code: row i is x^i - x^k (x^(i-k) mod g), the unit vector e_i on
@@ -68,7 +70,8 @@ class Tower:
     """Field tower F_p <= F_{q^2} <= F_{q^(2m)} with the rn-th root omega.
 
     omega = gamma^e for the canonical primitive gamma of the top field and
-    e = (q^(2m)-1)/rn; eta = omega^n, descended into F_{q^2}.
+    e = (q^(2m)-1)/rn; eta = omega^n, descended into F_{q^2}.  powers[i] is
+    omega^(1 + ri) for 0 <= i < n, the roots of Omega in index order.
     """
 
     q2: Field
@@ -76,6 +79,7 @@ class Tower:
     embed: Embedding
     omega: int
     eta: int
+    powers: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -88,18 +92,11 @@ def build_tower(spec: CodeSpec) -> Tower:
     eta = embed.descend(top.pow(omega, spec.n))
     if q2.element_order(eta) != spec.r:
         raise InconsistentRootSystemError(f"eta = omega^n does not have order r={spec.r}")
-    return Tower(q2=q2, top=top, embed=embed, omega=omega, eta=eta)
-
-
-@lru_cache(maxsize=None)
-def _omega_powers(spec: CodeSpec) -> tuple[int, ...]:
-    """omega^(1 + ri) for 0 <= i < n, the roots of Omega in index order."""
-    tower = build_tower(spec)
-    mul, step = tower.top.mul, tower.top.pow(tower.omega, spec.r)
-    powers = [tower.omega]
+    step = top.pow(omega, spec.r)
+    powers = [omega]
     for _ in range(spec.n - 1):
-        powers.append(mul(powers[-1], step))
-    return tuple(powers)
+        powers.append(top.mul(powers[-1], step))
+    return Tower(q2=q2, top=top, embed=embed, omega=omega, eta=eta, powers=tuple(powers))
 
 
 @lru_cache(maxsize=None)
@@ -110,9 +107,10 @@ def minimal_polynomial(spec: CodeSpec, orbit: tuple[int, ...]) -> Poly:
     when orbit is not a whole coset; the error is not cached.
     """
     tower = build_tower(spec)
-    top, powers, r, rn = tower.top, _omega_powers(spec), spec.r, spec.rn
+    top, powers, r, rn = tower.top, tower.powers, spec.r, spec.rn
     mul, add = top.mul, top.add
-    # times (x + a), a = -omega^j, in place: new_i = c_(i-1) + a c_i, new_0 = a c_0
+    # times (x + a), a = -omega^j, in place: new_i = c_(i-1) + a c_i, new_0 = a c_0;
+    # per-element calls, so that no top-field table is built (module docstring)
     c = [1]
     for j in orbit:
         a = top.neg(powers[(j - 1) % rn // r])
@@ -170,7 +168,7 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
 
     # one minimal polynomial per coset; a coset T only partly covers has a
     # factor with a coefficient outside F_{q^2}, and descent rejects it
-    gen_poly = Poly.one(q2)
+    gen_poly = Poly(q2, (1,))
     rest = set(t.elements)
     while rest:
         orbit = tuple(j for j in coset(spec, min(rest)).elements if j in rest)

@@ -16,16 +16,16 @@ Elements are encoded as integers in [0, p^l): the base-p digits of the code
 are the coordinates with respect to the power basis of the modulus, and
 `Field` methods operate directly on these integer codes.
 
-Matrix elimination, matrix products and the exact-distance search work a
-row at a time through three `Field` kernels: `scale`, `sub_scaled` and
-`dot`.  A field of order at most 1024 builds full add/mul tables the first
-time a kernel or a matrix operation needs them, from discrete logarithms to
-its canonical primitive element (see `Field._ensure_tables`), so that a
-kernel costs one or two list lookups per entry.  Larger fields run the same
-kernels on the per-element methods: `add` and `neg` work digit by digit, and
-`mul` is one integer product of the two operands packed with their base-p
-digits spaced apart (Kronecker substitution, see `_packing`), folded back
-by the modulus.
+Matrix elimination, matrix and polynomial products, polynomial division and
+the exact-distance search work a row at a time through three `Field`
+kernels: `scale`, `sub_scaled` and `dot`.  A field of order at most 1024
+builds full add/mul tables the first time a kernel or a matrix operation
+needs them, from discrete logarithms to its canonical primitive element
+(see `Field._ensure_tables`), so that a kernel costs one or two list
+lookups per entry.  Larger fields run the same kernels on the per-element
+methods: `add` and `neg` work digit by digit, and `mul` is one integer
+product of the two operands packed with their base-p digits spaced apart
+(Kronecker substitution, see `_packing`), folded back by the modulus.
 """
 
 from __future__ import annotations
@@ -531,6 +531,9 @@ class Poly:
     """Dense univariate polynomial; coefficient codes, constant term first.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
+    Products and division run on the `Field` row kernels: a product is one
+    `sub_scaled` update per nonzero term of the shorter factor, a division
+    one per nonzero quotient term.
     """
 
     __slots__ = ("field", "coeffs")
@@ -541,14 +544,6 @@ class Poly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field: Field) -> Poly:
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: Field) -> Poly:
-        return cls(field, (1,))
 
     @property
     def degree(self) -> int:
@@ -572,16 +567,11 @@ class Poly:
 
     def __mul__(self, other: Poly) -> Poly:
         f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(f)
-        mul, add = f.mul, f.add
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
         out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
+        for i, x in enumerate(a):  # out[i:] += x b, one row update per nonzero term
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add(out[i + j], mul(x, y))
+                out[i:i + len(b)] = f.sub_scaled(out[i:i + len(b)], f.neg(x), b)
         return Poly(f, out)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:

@@ -114,6 +114,17 @@ PINS = [
         "da37ed8aa6063498470b7c0278fa70b04a4fa5f498f490edfd321958e83cb75a", None, 120),
     Pin(("catalog", "--tables", "1,2,4,5,6", "--rank-oracle", "--q-range", "3:23"), True,
         "58617004a088025c9d612d970c0006fb04fa27c6a6d80ba5873d563ad66c6648", None, 120),
+    # catalog and verify rows never print g; code --format json prints its
+    # coefficient codes, the product of the cosets' minimal polynomials over
+    # F_{13^2}, which multiplies by table lookups, and must keep these bytes
+    Pin(("code", "13", "2", "170", "--cosets", "85,87,89", "--rank-oracle", "--format", "json"),
+        False, "624597988cb3d9b307eb6d0e398fdfdad32919243ce5b0d40664082c522a804e", 28, 60),
+    # the same g with every field table-free prints the same bytes
+    Pin(("code", "13", "2", "170", "--cosets", "85,87,89", "--rank-oracle", "--format", "json"),
+        True, "624597988cb3d9b307eb6d0e398fdfdad32919243ce5b0d40664082c522a804e", 28, 60),
+    # a g over F_{41^2}, above the lookup-table cap, multiplied by packed products
+    Pin(("code", "41", "7", "240", "--cosets", "1,8,15", "--rank-oracle", "--format", "json"),
+        False, "b805a9bb68a7d128262b8bef70511da49590296763aa8d7d862baca61cbbbbc1", 24, 60),
 ]
 
 

@@ -41,6 +41,19 @@ def test_config_is_frozen_and_rechecked_on_replace():
         dataclasses.replace(cfg, workers=0)
 
 
+# a frozen config once held its lists as given: appending a table to one
+# made generate_catalog fail with KeyError 3, and hash() raised TypeError
+def test_config_holds_its_lists_as_tuples():
+    cfg = RunConfig(tables=[4], families=["tenth_3"], q_list=[5, 13], q_range=[3, 7])
+    assert (cfg.tables, cfg.families, cfg.q_list, cfg.q_range) == (
+        (4,), ("tenth_3",), (5, 13), (3, 7))
+    with pytest.raises(AttributeError):
+        cfg.tables.append(3)
+    assert hash(cfg) == hash(RunConfig(tables=(4,), families=("tenth_3",), q_list=(5, 13),
+                                       q_range=(3, 7)))
+    assert dataclasses.replace(cfg, tables=[1]).tables == (1,)
+
+
 # run_verification once took any budget or worker count: a budget of 0 or -1
 # dropped every row to rank-oracle, and 0 workers ran serially
 @pytest.mark.parametrize("keywords,message", [
@@ -58,7 +71,7 @@ def test_config_from_file_round_trip(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"tables": [4], "format": "json", "workers": 2}))
     cfg = RunConfig.from_dict(read_config_file(str(path)))
-    assert cfg.tables == [4] and cfg.format == "json" and cfg.workers == 2
+    assert cfg.tables == (4,) and cfg.format == "json" and cfg.workers == 2
     path.write_text("not json")
     with pytest.raises(ConfigError):
         read_config_file(str(path))

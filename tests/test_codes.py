@@ -39,6 +39,19 @@ def test_tower_omega_and_eta_orders():
         assert tower.embed.descend(tower.top.pow(tower.omega, spec.n)) == tower.eta
 
 
+# every i of the first spec, and i = 0, n - 1 and 30 drawn ones of the second
+@pytest.mark.parametrize("args,drawn", [((5, 2, 26), None), ((13, 2, 170), 30)])
+def test_tower_powers_are_the_roots_of_omega_in_index_order(args, drawn):
+    spec = make_spec(*args)
+    tower = build_tower(spec)
+    assert len(tower.powers) == spec.n
+    indices = range(spec.n)
+    if drawn is not None:
+        indices = [0, spec.n - 1] + random.Random(5).sample(range(1, spec.n - 1), drawn)
+    for i in indices:
+        assert tower.powers[i] == tower.top.pow(tower.omega, 1 + spec.r * i)
+
+
 @pytest.mark.parametrize("fake_order,message", [
     (lambda spec: 0, "omega does not have order rn=52"),
     # right for omega, so the eta check is the one that fails
@@ -265,6 +278,21 @@ def test_the_coset_cache_keeps_specs_apart():
     assert factors[0] != factors[1]
 
 
+def test_minimal_polynomial_runs_no_row_kernel_on_the_top_field(monkeypatch):
+    # a kernel would tabulate a top field such as F_{5^4}, which is under
+    # the cap but that nothing else tabulates
+    spec = make_spec(5, 2, 26)
+    top = build_tower(spec).top
+    fields_seen = []
+    for name in ("scale", "sub_scaled", "dot", "_ensure_tables"):
+        kernel = getattr(fields.Field, name)
+        monkeypatch.setattr(fields.Field, name, lambda self, *args, kernel=kernel:
+                            fields_seen.append(self) or kernel(self, *args))
+    codes.minimal_polynomial.cache_clear()
+    codes.minimal_polynomial(spec, (1, 25))
+    assert top not in fields_seen
+
+
 def test_empty_defining_set_rejected():
     spec = make_spec(5, 2, 26)
     with pytest.raises(ValueError):
@@ -367,7 +395,11 @@ def test_build_code_sub_scaled_calls(monkeypatch):
     the same steps give the reduced generator rows and h.  The division of
     x^n - eta by g that this replaces took 20 and 80 calls on top of 19 and
     79 for the rows (39 and 159 in all), and eliminating the banded
-    generator matrix took 125 and 311."""
+    generator matrix took 125 and 311.  g's product, which runs on
+    sub_scaled too, is taken by the schoolbook oracle, so that only the
+    recurrence is counted."""
+    monkeypatch.setattr(fields.Poly, "__mul__", lambda a, b: fields.Poly(
+        a.field, oracles.poly_product(a.field, a.coeffs, b.coeffs)))
     for args, leaders, calls_expected in [((5, 2, 26), [13, 15, 17, 19], 20),
                                           ((9, 2, 82), [41, 43], 80)]:
         spec = make_spec(*args)
@@ -380,9 +412,9 @@ def test_build_code_sub_scaled_calls(monkeypatch):
             calls.append(g)
             return sub_scaled(xs, g, ys)
 
-        monkeypatch.setattr(field, "sub_scaled", counting_sub_scaled)
-        code = build_code(spec, t)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(field, "sub_scaled", counting_sub_scaled)
+            code = build_code(spec, t)
         assert len(calls) == calls_expected
         assert len(calls) == sum(map(bool, code.check_poly.coeffs))
 

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eaqmds.codes import build_code
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec
@@ -334,6 +334,29 @@ def test_poly_degree_respects_multiplication():
         b = Poly(F25, [rng.randrange(25) for _ in range(rng.randrange(1, 6))])
         if a and b:
             assert (a * b).degree == a.degree + b.degree
+
+
+# F_{13^2} multiplies by table lookups; F_{37^2} is above the table cap and
+# F_{13^4} is a tower top, both multiplied by packed products
+@pytest.mark.parametrize("field", [make_field(13, 2), make_field(37, 2), make_field(13, 4)],
+                         ids=repr)
+@given(a=st.lists(st.one_of(st.just(0), st.integers(1, 13**4 - 1)), max_size=6),
+       b=st.lists(st.one_of(st.just(0), st.integers(1, 13**4 - 1)), max_size=6))
+@example(a=[], b=[0, 3])  # an empty operand
+@example(a=[0, 0, 5, 0], b=[7, 0, 1])  # zero coefficients
+def test_poly_product_is_schoolbook_with_one_row_update_per_term(field, a, b):
+    pa = Poly(field, [c % field.order for c in a])
+    pb = Poly(field, [c % field.order for c in b])
+    for x, y in [(pa, pb), (pb, pa)]:
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            sub_scaled = Field.sub_scaled
+            patch.setattr(Field, "sub_scaled",
+                          lambda self, *args: calls.append(args) or sub_scaled(self, *args))
+            product = x * y
+        assert product == Poly(field, oracles.poly_product(field, x.coeffs, y.coeffs))
+        shorter = min(x.coeffs, y.coeffs, key=len)
+        assert len(calls) == sum(map(bool, shorter))
 
 
 @given(a=st.lists(codes_of(F49), max_size=8),
