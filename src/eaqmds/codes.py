@@ -43,7 +43,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cosets import CodeSpec, DefiningSet, coset, in_omega
+from .cosets import CodeSpec, DefiningSet, cosets_meeting, in_omega
 from .fields import Embedding, Field, Matrix, Poly, extend, make_field
 
 DEFAULT_DISTANCE_BUDGET = 10**6
@@ -169,10 +169,8 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
     # one minimal polynomial per coset; a coset T only partly covers has a
     # factor with a coefficient outside F_{q^2}, and descent rejects it
     gen_poly = Poly(q2, (1,))
-    rest = set(t.elements)
-    while rest:
-        orbit = tuple(j for j in coset(spec, min(rest)).elements if j in rest)
-        rest.difference_update(orbit)
+    for c in cosets_meeting(spec, t.elements):
+        orbit = tuple(j for j in c.elements if j in t.elements)
         try:
             factor = minimal_polynomial(spec, orbit)
         except ValueError as exc:

@@ -3,7 +3,9 @@
 Everything here is integer set arithmetic on the class set
 Omega = {1 + ri mod rn : 0 <= i < n}; no field elements are built.  A
 defining set T splits as T = T_ss | T_sas with T_ss = T & T^{-q}, and
-|T_ss| is the ebit count consumed downstream.
+|T_ss| is the ebit count consumed downstream.  One walk, cosets_meeting,
+splits a set of classes into its q^2-orbits, each orbit once: all_cosets,
+DefiningSet's closure check and leaders, and codes.build_code run on it.
 
 DefiningSet.from_leaders passes the union of its cosets to
 from_elements, the one place that computes T_ss from scratch.
@@ -119,17 +121,22 @@ def coset(spec: CodeSpec, s: int) -> CyclotomicCoset:
     return CyclotomicCoset(spec=spec, leader=orbit[0], elements=tuple(orbit))
 
 
-def all_cosets(spec: CodeSpec) -> list[CyclotomicCoset]:
-    """The coset partition of Omega, ordered by leader."""
+def cosets_meeting(spec: CodeSpec, classes: Iterable[int]) -> list[CyclotomicCoset]:
+    """The cosets that meet classes (reduced, in Omega), one walk per orbit,
+    ordered by the least class each holds: by leader when classes are closed."""
     seen: set[int] = set()
     out = []
-    for s in omega_set(spec):
+    for s in sorted(classes):
         if s not in seen:
             c = coset(spec, s)
             seen.update(c.elements)
             out.append(c)
-    out.sort(key=lambda c: c.leader)
     return out
+
+
+def all_cosets(spec: CodeSpec) -> list[CyclotomicCoset]:
+    """The coset partition of Omega, ordered by leader."""
+    return cosets_meeting(spec, omega_set(spec))
 
 
 def minus_q(spec: CodeSpec, s: int) -> int:
@@ -151,10 +158,11 @@ class DefiningSet:
     """A union of cyclotomic cosets with its skew decomposition.
 
     Stored are T (elements), t_ss = T & T^{-q} and run_starts, the number
-    of classes of T whose predecessor s - r (mod rn) is not in T; leaders
-    and t_sas = T \\ t_ss are derived on access.  Both parts are unions of
-    whole cosets whenever T is.  Build one with from_leaders or
-    from_elements, and grow it with with_coset.
+    of classes of T whose predecessor s - r (mod rn) is not in T; t_sas =
+    T \\ t_ss is derived on access, and leaders and from_elements' closure
+    check run on one cosets_meeting walk.  Both parts are unions of whole
+    cosets whenever T is.  Build one with from_leaders or from_elements,
+    and grow it with with_coset.
     """
 
     spec: CodeSpec
@@ -165,7 +173,7 @@ class DefiningSet:
     @property
     def leaders(self) -> tuple[int, ...]:
         """The sorted leaders of the cosets that T meets."""
-        return tuple(sorted({coset(self.spec, e).leader for e in self.elements}))
+        return tuple(sorted(c.leader for c in cosets_meeting(self.spec, self.elements)))
 
     @property
     def t_sas(self) -> frozenset[int]:
@@ -184,12 +192,9 @@ class DefiningSet:
         for e in elems:
             if not in_omega(spec, e):
                 raise ValueError(f"{e} is not in Omega for {spec!r}")
-        if check_closure:
-            closed: set[int] = set()
-            for e in elems:
-                closed.update(coset(spec, e).elements)
-            if closed != elems:
-                raise ValueError("element set is not a union of whole cosets")
+        if check_closure and not all(elems.issuperset(c.elements)
+                                     for c in cosets_meeting(spec, elems)):
+            raise ValueError("element set is not a union of whole cosets")
         return cls(spec=spec, elements=elems,
                    t_ss=elems & frozenset(minus_q(spec, s) for s in elems),
                    run_starts=_run_starts(spec, elems, elems))

@@ -5,9 +5,10 @@ determinants go through permutation expansion, row reduction through
 schoolbook Gauss-Jordan, matrix and polynomial products one term at a
 time, generator polynomials through one linear factor and one root power
 at a time, divisibility through schoolbook long division, multiplicative
-orders through repeated multiplication, field products through the base-p
-digits of each code, run lengths through exhaustive window scans, and the
-rooted distance search one column reduction at a time.
+orders and q^2-orbits through repeated multiplication, field products
+through the base-p digits of each code, run lengths through exhaustive
+window scans, and the rooted distance search one column reduction at a
+time.
 """
 
 from __future__ import annotations
@@ -152,6 +153,25 @@ def longest_consecutive_window(spec, elements) -> int:
             length += 1
         best = max(best, length)
     return best
+
+
+def orbits_by_iteration(spec, classes):
+    """The distinct orbits under s -> q^2 s (mod rn) that meet classes, each a
+    sorted tuple found by repeated multiplication, ordered by the least of
+    classes it holds."""
+    classes = set(classes)
+    qq = spec.q * spec.q % spec.rn
+    orbits = set()
+    for s in classes:
+        if any(s in orbit for orbit in orbits):
+            continue
+        orbit, x = {s}, s * qq % spec.rn
+        while x != s:
+            orbit.add(x)
+            x = x * qq % spec.rn
+        orbits.add(frozenset(orbit))
+    return sorted((tuple(sorted(orbit)) for orbit in orbits),
+                  key=lambda orbit: min(classes.intersection(orbit)))
 
 
 def dependent_subset_min_size(field, h_entries, max_size, rank=minor_rank) -> int | None:

@@ -125,6 +125,19 @@ PINS = [
     # a g over F_{41^2}, above the lookup-table cap, multiplied by packed products
     Pin(("code", "41", "7", "240", "--cosets", "1,8,15", "--rank-oracle", "--format", "json"),
         False, "b805a9bb68a7d128262b8bef70511da49590296763aa8d7d862baca61cbbbbc1", 24, 60),
+    # the coset partition of Omega is one walk in leader order; these lists
+    # (r = q+1 and r = 2) keep the bytes of the walk in index order, sorted
+    Pin(("cosets", "9", "10", "82", "--format", "json"), False,
+        "594f6b3478c4907674ac289b819b374f4a343431e4f15c6eefa5eabab61e05b8", 385, 60),
+    Pin(("cosets", "13", "2", "170", "--format", "json"), False,
+        "d735a8ee583eabbaa351d2dbdb06efae9d15c41641fbc4879df4471bf027e982", 781, 60),
+    # decompose prints the leaders, read from the same walk, and the closure
+    # check runs on it; the bytes are those of one coset() call per class
+    Pin(("decompose", "5", "2", "26", "--cosets", "13,15,17,19", "--format", "json"), False,
+        "f5b67efa7bc1b70cde08d80a4ea1294bb0c890751a559ca3a45781202a11dfa2", 42, 60),
+    # one coset of 4,004 classes, which took 6.8 s by one coset() call per class
+    Pin(("decompose", "3", "4", "8009", "--cosets", "1", "--format", "json"), False,
+        "05ee4d5f826e3a4d8f4b3b5f26c4121dfcce173df52fcb7fb7daa0f43b7f4b21", 12029, 60),
 ]
 
 

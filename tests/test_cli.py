@@ -176,6 +176,21 @@ def test_decompose_json_bytes(capsys):
         "f5b67efa7bc1b70cde08d80a4ea1294bb0c890751a559ca3a45781202a11dfa2")
 
 
+# the single 50,001-class coset of q=3 r=4 n=100003 was once split by one
+# coset() call per class, past a 20 s timeout; both commands must end at
+# once: decompose prints T, and code is refused at the field-order budget
+@pytest.mark.parametrize("command,rc", [("decompose", 0), ("code", 2)])
+def test_one_huge_coset_is_walked_once(command, rc):
+    proc = run_child([command, "3", "4", "100003", "--cosets", "1"], 15)
+    assert proc.returncode == rc
+    if rc == 0:
+        assert proc.stdout.startswith("spec: q=3 r=4 n=100003 rn=400012\n")
+        assert proc.stderr == ""
+    else:
+        assert (proc.stdout, proc.stderr) == (
+            "", "error: field order 3^100002 exceeds the 4294967296 budget\n")
+
+
 def test_code_command_with_oracles(capsys):
     code, out, _ = run_cli(capsys, "code", "5", "3", "8", "--cosets", "1,4,7",
                            "--rank-oracle", "--exact-distance")

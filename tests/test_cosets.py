@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from eaqmds.cosets import (DefiningSet, all_cosets, coset, is_skew_symmetric,
+from eaqmds.cosets import (DefiningSet, all_cosets, coset, cosets_meeting, is_skew_symmetric,
                            make_spec, minus_q, omega_set, skew_partner, t_minus_q)
+from oracles import orbits_by_iteration
 
 # Specs with rn <= 1000 used by the exhaustive property suites: the small
 # family settings plus assorted extra (q, r, n) combinations.
@@ -303,3 +304,28 @@ def test_unclosed_canary_set_derives_leaders_and_t_sas():
     assert t.t_sas == frozenset({13, 15})
     with pytest.raises(ValueError, match=r"^element set is not a union of whole cosets$"):
         DefiningSet.from_elements(spec, [13, 15])
+
+
+# the closed sets are unions of whole cosets; the others add or drop classes,
+# so that one orbit of (3, 4, 2003), 1,001 classes long, is often split
+@st.composite
+def spec_and_classes(draw):
+    spec = make_spec(*draw(st.sampled_from(SMALL_SPECS + [(3, 4, 2003)])))
+    leaders = draw(st.sets(st.sampled_from([c.leader for c in all_cosets(spec)]), max_size=6))
+    toggled = draw(st.sets(st.sampled_from(omega_set(spec)), max_size=4))
+    closed = {e for s in leaders for e in coset(spec, s).elements}
+    return spec, closed ^ toggled
+
+
+@given(spec_and_classes())
+def test_the_orbit_walk_matches_repeated_multiplication(data):
+    spec, classes = data
+    orbits = orbits_by_iteration(spec, classes)
+    assert [c.elements for c in cosets_meeting(spec, classes)] == orbits
+    if {e for orbit in orbits for e in orbit} == classes:
+        t = DefiningSet.from_elements(spec, classes)
+    else:
+        with pytest.raises(ValueError, match=r"^element set is not a union of whole cosets$"):
+            DefiningSet.from_elements(spec, classes)
+        t = DefiningSet.from_elements(spec, classes, check_closure=False)
+    assert t.leaders == tuple(sorted(orbit[0] for orbit in orbits))
