@@ -7,8 +7,9 @@ defining set T splits as T = T_ss | T_sas with T_ss = T & T^{-q}, and
 splits a set of classes into its q^2-orbits, each orbit once: all_cosets,
 DefiningSet's closure check and leaders, and codes.build_code run on it.
 
-DefiningSet.from_leaders passes the union of its cosets to
-from_elements, the one place that computes T_ss from scratch.
+DefiningSet.from_leaders passes the union of its cosets, which is closed,
+to from_elements without its closure walk; from_elements is the one place
+that computes T_ss from scratch.
 DefiningSet.with_coset grows a set by one coset C: with T' = T | C,
 
     T' & -qT' = T_ss | (T' & -qC) | (C & -qT'),
@@ -181,13 +182,17 @@ class DefiningSet:
 
     @classmethod
     def from_leaders(cls, spec: CodeSpec, leaders: Iterable[int]) -> DefiningSet:
-        return cls.from_elements(spec, [e for s in leaders for e in coset(spec, s).elements])
+        """The union of the cosets of the leaders: whole cosets, so no closure walk."""
+        return cls.from_elements(spec, [e for s in leaders for e in coset(spec, s).elements],
+                                 check_closure=False)
 
     @classmethod
     def from_elements(cls, spec: CodeSpec, elements: Iterable[int],
                       check_closure: bool = True) -> DefiningSet:
-        """Build from raw classes; closure under q^2 can be deliberately skipped
-        to exercise downstream consistency errors."""
+        """Build from raw classes.  check_closure=False skips the walk that checks
+        closure under q^2: from_leaders passes whole cosets, and the `code`
+        command, verify's canary and tests pass sets that codes.build_code's
+        descent must reject."""
         elems = frozenset(e % spec.rn for e in elements)
         for e in elems:
             if not in_omega(spec, e):

@@ -7,6 +7,17 @@ canonical primitive element is likewise the first element of full
 multiplicative order under the same ordering.  These conventions make every
 element encoding and every derived object bit-reproducible across runs.
 
+Neither the canonical primitive element nor the root that embeds a subfield
+needs an exhaustive search (Lidl and Niederreiter, Finite Fields, Thm 2.14
+and 2.28).  The norm
+N(a) = a^((p^l-1)/(p-1)) lies in F_p and equals the resultant of the modulus
+and the digit polynomial of a (see `Field.norm`); so for each prime t | p - 1
+the primitive test a^((p^l-1)/t) != 1 reads N(a)^((p-1)/t) != 1 mod p, and
+only the other primes take a field power.  The roots of an irreducible
+polynomial of degree D over F_p are the Frobenius orbit rho, rho^p, ...,
+rho^(p^(D-1)) of any one of them; so `extend`, which embeds by the least
+root of the base modulus, walks the subfield copy only up to its first root.
+
 The module keeps one implementation of each piece of arithmetic, and the
 field tower is fixed with it: the modulus search runs Rabin's test in the
 ring F_p[x]/(f) that `Field` computes in (see `_is_irreducible`), and
@@ -31,7 +42,7 @@ product of the two operands packed with their base-p digits spaced apart
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, count, islice
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -215,8 +226,9 @@ class Field:
         while e:
             if e & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             e >>= 1
+            if e:  # no square after the last bit
+                base = self.mul(base, base)
         return result
 
     # -- conjugation (Hermitian levels) -----------------------------------
@@ -250,17 +262,55 @@ class Field:
                 order //= prime
         return order
 
+    def norm(self, a: int) -> int:
+        """N(a) = a^((p^d-1)/(p-1)), an element of the prime field: a code below p.
+
+        The roots of the monic modulus f are x, x^p, ..., x^(p^(d-1)), so for
+        the digit polynomial A of a the resultant Res(f, A), the product of A
+        over those roots, is a * a^p * ... * a^(p^(d-1)) = N(a).  Euclid's
+        algorithm computes it on integers mod p, with no field product: for
+        r = f mod g, Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r),
+        Res(f, c) = c^(deg f) for a constant c and Res(f, 0) = 0.  In a ring
+        whose modulus is not irreducible it is the determinant of y -> a*y.
+        """
+        p = self.p
+        f, g = list(self.modulus), list(self.decode(a))
+        while g and not g[-1]:
+            g.pop()
+        res = 1
+        while len(g) > 1:
+            r, lead_inv = f, pow(g[-1], -1, p)
+            while len(r) >= len(g):
+                c, shift = r[-1] * lead_inv % p, len(r) - len(g)
+                r = r[:shift] + [(x - c * y) % p for x, y in zip(r[shift:-1], g)]
+                while r and not r[-1]:
+                    r.pop()
+            if (len(f) - 1) * (len(g) - 1) % 2:
+                res = -res
+            res = res * pow(g[-1], len(f) - len(r), p) % p
+            f, g = g, r
+        return res * pow(g[0], len(f) - 1, p) % p if g else 0
+
     def primitive_code(self) -> int:
         """Canonically smallest code of full multiplicative order.
 
         a is primitive iff a^(N/t) != 1 for every prime t dividing
         N = order - 1; a candidate is dropped at the first t that gives 1.
+        For t | p - 1, a^(N/t) = N(a)^((p-1)/t) for the norm N(a) = a^(N/(p-1)),
+        so that test is integer arithmetic mod p; only a prime t that does not
+        divide p - 1 takes a `pow`.  Above degree 1 the search starts at p:
+        the codes below it are the prime field, whose orders divide p - 1 < N.
         """
         if self._primitive is None:
-            full = self.order - 1
-            cofactors = [full // prime for prime in self._order_facts()]
-            self._primitive = next(code for code in range(1, self.order)
-                                   if all(self.pow(code, e) != 1 for e in cofactors))
+            p, full = self.p, self.order - 1
+            by_norm = [(p - 1) // t for t in self._order_facts() if (p - 1) % t == 0]
+            by_pow = [full // t for t in self._order_facts() if (p - 1) % t]
+            for code in range(p if self.degree > 1 else 1, self.order):
+                n = self.norm(code)
+                if (all(pow(n, e, p) != 1 for e in by_norm)
+                        and all(self.pow(code, e) != 1 for e in by_pow)):
+                    self._primitive = code
+                    break
         return self._primitive
 
     # -- row kernels: table lookups, or the per-element methods above the cap
@@ -497,22 +547,28 @@ class Embedding:
 
 @lru_cache(maxsize=None)
 def extend(base: Field, degree: int) -> tuple[Field, Embedding]:
-    """The canonical F_{p^(l*degree)} together with the embedding of base."""
+    """The canonical F_{p^(l*degree)} together with the embedding of base.
+
+    The embedding sends x to the least root of the base modulus in the top
+    field.  The roots lie in the unique subfield copy of the base's order: 0
+    and the powers zeta, zeta^2, ..., zeta^(|base|-1) = 1 of
+    zeta = gamma^((|top|-1)/(|base|-1)).  The modulus is irreducible of
+    degree D = l, so its roots are the Frobenius orbit rho, rho^p, ...,
+    rho^(p^(D-1)) of any one of them: the walk over the copy stops at its
+    first root, and the D conjugates of that root are the rest.
+    """
     if degree < 1:
         raise ValueError(f"extension degree must be >= 1, got {degree}")
     top = make_field(base.p, base.degree * degree)
-    # Roots of the base modulus live in the unique subfield copy of the
-    # base's order, generated by gamma^((|top|-1)/(|base|-1)).
-    gamma = top.primitive_code()
-    step = (top.order - 1) // (base.order - 1)
-    zeta = top.pow(gamma, step)
-    subfield = [0, 1]
-    for _ in range(base.order - 2):
-        subfield.append(top.mul(subfield[-1], zeta))
-    roots = [x for x in subfield if _eval_in(top, base.modulus, x) == 0]
-    if len(roots) != base.degree:
-        raise AssertionError("modulus root count mismatch in subfield")  # unreachable
-    return top, Embedding(base, top, min(roots))
+    zeta = top.pow(top.primitive_code(), (top.order - 1) // (base.order - 1))
+    # 0 first: the prime field's modulus is x, with root 0
+    copy = chain([0], accumulate(repeat(zeta, base.order - 1), top.mul))
+    orbit = [next(x for x in copy if _eval_in(top, base.modulus, x) == 0)]
+    for _ in range(base.degree):
+        orbit.append(top.pow(orbit[-1], base.p))
+    if orbit[-1] != orbit[0] or len(set(orbit)) != base.degree:
+        raise AssertionError("modulus root orbit mismatch in subfield")  # unreachable
+    return top, Embedding(base, top, min(orbit))
 
 
 def _eval_in(field: Field, prime_coeffs: Sequence[int], x: int) -> int:

@@ -6,7 +6,8 @@ schoolbook Gauss-Jordan, matrix and polynomial products one term at a
 time, generator polynomials through one linear factor and one root power
 at a time, divisibility through schoolbook long division, multiplicative
 orders and q^2-orbits through repeated multiplication, field products
-through the base-p digits of each code, run lengths through exhaustive
+through the base-p digits of each code, primitive elements and the roots
+of a subfield's modulus through full scans, run lengths through exhaustive
 window scans, and the rooted distance search one column reduction at a
 time.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from eaqmds.codes import build_tower
-from eaqmds.fields import Matrix
+from eaqmds.fields import Matrix, factorize
 
 
 def perm_det(field, rows):
@@ -108,6 +109,35 @@ def order_by_iteration(field, code) -> int:
         acc = field.mul(acc, code)
         order += 1
     return order
+
+
+def primitive_code_by_scan(field) -> int:
+    """The least code of full multiplicative order: every code from 1 up,
+    each tested by a field power on every cofactor (order - 1)/t."""
+    full = field.order - 1
+    cofactors = [full // t for t in factorize(full)]
+    return next(code for code in range(1, field.order)
+                if all(field.pow(code, e) != 1 for e in cofactors))
+
+
+def subfield_roots_by_scan(top, base) -> list[int]:
+    """The roots in top of base's modulus, found by evaluating it on every
+    element of the subfield copy of base: 0 and the powers of
+    gamma^((|top|-1)/(|base|-1)) for the scanned primitive gamma of top."""
+    zeta = top.pow(primitive_code_by_scan(top), (top.order - 1) // (base.order - 1))
+    copy, x = [0], 1
+    for _ in range(base.order - 1):
+        copy.append(x)
+        x = top.mul(x, zeta)
+    return sorted(x for x in copy if horner(top, base.modulus, x) == 0)
+
+
+def horner(field, coeffs, x) -> int:
+    """The polynomial with prime-field coefficients (constant term first) at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
 
 
 def irreducible_by_trial_division(p: int, coeffs) -> bool:

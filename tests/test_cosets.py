@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from eaqmds import cosets
 from eaqmds.cosets import (DefiningSet, all_cosets, coset, cosets_meeting, is_skew_symmetric,
                            make_spec, minus_q, omega_set, skew_partner, t_minus_q)
 from oracles import orbits_by_iteration
@@ -282,6 +283,24 @@ def test_dual_containment_matches_empty_intersection(data):
     spec, leaders = data
     t = DefiningSet.from_leaders(spec, leaders)
     assert (not t.t_ss) == (not (t.elements & t_minus_q(t)))
+
+
+def test_from_leaders_walks_each_coset_once(monkeypatch):
+    spec = make_spec(5, 2, 26)
+    calls = []
+
+    def counted(spec, s):
+        calls.append(s)
+        return coset(spec, s)
+
+    monkeypatch.setattr(cosets, "coset", counted)
+    t = DefiningSet.from_leaders(spec, [7, 9, 11, 13])
+    assert calls == [7, 9, 11, 13]
+    with pytest.raises(ValueError, match=r"^12 is not in Omega"):
+        DefiningSet.from_leaders(spec, [7, 12])
+    monkeypatch.undo()
+    union = [e for s in (7, 9, 11, 13) for e in coset(spec, s).elements]
+    assert t == DefiningSet.from_elements(spec, union)
 
 
 def test_from_elements_checks_closure_and_membership():

@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from eaqmds import fields
+from eaqmds.catalog import TABLE_ENTRIES, TABLE_FAMILY, table1_family
 from eaqmds.codes import build_code
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec
+from eaqmds.families import family_spec
 from eaqmds.fields import (_PACK_TABLE_MAX, _TABLE_MAX_ORDER, Field, Matrix, Poly,
                            _is_irreducible, _packing, extend, factorize, is_prime,
                            make_field, prime_power_split)
@@ -147,6 +150,104 @@ def test_primitive_elements():
         assert oracles.order_by_iteration(F25, code) != 24
     assert oracles.order_by_iteration(F25, g) == 24
     assert F25.element_order(g) == 24
+
+
+# (p, degree of F_q^2, m) of every tower F_p <= F_q^2 <= F_q^2m that the 25
+# published entries of tables 1, 2, 4, 5 and 6 reach
+PUBLISHED_TOWERS = sorted({(s.p, 2 * s.ell, s.m) for s in (
+    family_spec(TABLE_FAMILY[table] or table1_family(q), q, h)
+    for table, entries in TABLE_ENTRIES.items() for q, h in entries)})
+# extensions of prime fields, and towers in characteristic 2 and 3
+SMALL_TOWERS = [(5, 1, 2), (7, 1, 2), (3, 1, 4), (2, 1, 5), (2, 2, 3), (2, 3, 2), (2, 4, 2),
+                (3, 2, 3), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("p,d,m", PUBLISHED_TOWERS + SMALL_TOWERS)
+def test_tower_set_up_equals_the_full_scans(p, d, m):
+    base = make_field(p, d)
+    top, emb = extend(base, m)
+    assert base.primitive_code() == oracles.primitive_code_by_scan(base)
+    assert top.primitive_code() == oracles.primitive_code_by_scan(top)
+    roots = oracles.subfield_roots_by_scan(top, base)
+    assert len(roots) == d and emb.root == roots[0]
+    assert [emb(a) for a in range(base.order)] == [
+        oracles.horner(top, base.decode(a), roots[0]) for a in range(base.order)]
+
+
+@pytest.mark.parametrize("field", [F5, F25, F27, make_field(2, 6), make_field(3, 6),
+                                   make_field(13, 4), make_field(17, 4), make_field(53, 2)],
+                         ids=repr)
+def test_norm_is_the_power_and_the_multiplication_determinant(field):
+    p, d = field.p, field.degree
+    prime = make_field(p)
+    rng = random.Random(31 + field.order)
+    for a in [0, 1, p - 1] + [rng.randrange(field.order) for _ in range(12)]:
+        n = field.norm(a)
+        assert 0 <= n < p
+        assert n == field.pow(a, (field.order - 1) // (p - 1))
+        # the rows are the coordinates of a * x^j: the matrix of y -> a*y
+        rows = [field.decode(field.mul(a, p**j)) for j in range(d)]
+        assert n == oracles.perm_det(prime, rows)
+
+
+def test_norm_of_a_zero_divisor_is_zero():
+    # in F_13[x]/(x^4 + 1) the resultant is still the determinant of y -> a*y
+    prime, ring = make_field(13), Field(13, 4, (1, 0, 0, 0, 1))
+    for coeffs in [(5, 0, 1), (8, 0, 1), (3, 1, 4, 1), (0, 1)]:
+        a = ring.encode(coeffs)
+        rows = [ring.decode(ring.mul(a, 13**j)) for j in range(4)]
+        assert ring.norm(a) == oracles.perm_det(prime, rows)
+    assert ring.norm(ring.encode((5, 0, 1))) == 0
+
+
+def test_tower_set_up_work_is_pinned(monkeypatch):
+    # F_{17^4}: the full scans take 455 field powers in the primitive search
+    # and evaluate the modulus of F_{17^2} on all 289 elements of its copy
+    modulus, expected = make_field(17, 4).modulus, make_field(17, 4).primitive_code()
+    base = make_field(17, 2)
+    root = extend(base, 2)[1].root
+    counts = {"pow": 0, "eval": 0}
+    field_pow, eval_in = Field.pow, fields._eval_in
+
+    def counted_pow(self, a, e):
+        counts["pow"] += 1
+        return field_pow(self, a, e)
+
+    def counted_eval(*args):
+        counts["eval"] += 1
+        return eval_in(*args)
+
+    monkeypatch.setattr(Field, "pow", counted_pow)
+    assert Field(17, 4, modulus).primitive_code() == expected
+    assert counts["pow"] <= 150
+    monkeypatch.setattr(fields, "_eval_in", counted_eval)
+    assert extend.__wrapped__(base, 2)[1].root == root
+    assert counts["eval"] <= 100
+
+
+@pytest.mark.parametrize("field", [F25, make_field(3, 6), make_field(37, 2), make_field(2, 11)],
+                         ids=repr)
+def test_pow_equals_schoolbook_below_and_above_the_table_cap(field):
+    # below the cap through the lookup tables, above it through packed products
+    assert field._has_tables() == (field.order <= _TABLE_MAX_ORDER)
+    rng = random.Random(field.order)
+    exponents = [0, 1, 2, field.order - 2, rng.randrange(field.order)]
+    for a in [0, 1] + [rng.randrange(2, field.order) for _ in range(3)]:
+        for e in exponents:
+            assert field.pow(a, e) == oracles.schoolbook_pow(field, a, e)
+
+
+def test_pow_squares_only_between_exponent_bits(monkeypatch):
+    products = []
+    field_mul = Field.mul
+
+    def counted(self, a, b):
+        products.append((a, b))
+        return field_mul(self, a, b)
+
+    monkeypatch.setattr(Field, "mul", counted)
+    make_field(37, 2).pow(5, 0b1011)  # above the cap: no table
+    assert len(products) == 6  # three into the result, three squares between the bits
 
 
 # ---------------------------------------------------------------------------
