@@ -3,9 +3,11 @@
 Everything here is integer set arithmetic on the class set
 Omega = {1 + ri mod rn : 0 <= i < n}; no field elements are built.  A
 defining set T splits as T = T_ss | T_sas with T_ss = T & T^{-q}, and
-|T_ss| is the ebit count consumed downstream.  One walk, cosets_meeting,
-splits a set of classes into its q^2-orbits, each orbit once: all_cosets,
-DefiningSet's closure check and leaders, and codes.build_code run on it.
+|T_ss| is the ebit count consumed downstream.  One orbit walk, _orbit,
+gives the sorted coset of a class; coset() wraps it in a record, and
+cosets_meeting splits a set of classes into its q^2-orbits, each orbit
+once: all_cosets, DefiningSet's closure check and leaders, and
+codes.build_code run on it.
 
 DefiningSet.from_leaders passes the union of its cosets, which is closed,
 to from_elements without its closure walk; from_elements is the one place
@@ -17,7 +19,9 @@ DefiningSet.with_coset grows a set by one coset C: with T' = T | C,
 and C & -qT' = -q(T' & -qC) because -q maps -qC onto q^2 C = C.  A step
 therefore costs O(|C|) set lookups besides copying T, so a sweep over
 nested sets T_lo <= T_lo+1 <= ... (families.Construction.defining_sets)
-never recomputes the -q image of a whole set.
+never recomputes the -q image of a whole set.  The step reads C from
+_orbit, builds no coset record, and keeps T_ss itself when T' & -qC is
+empty.
 
 The run structure is folded the same way.  run_starts counts the classes
 s of T whose predecessor s - r (mod rn) is not in T, so T is one run of
@@ -28,6 +32,11 @@ and their successors N + r:
     run_starts(T') = run_starts(T)
                      + sum over s in N | (N + r) of [s in T', s - r not in T']
                      - sum over s in N | (N + r) of [s in T,  s - r not in T].
+
+For s in N the second bracket is 0.  For s = x + r with x in N and s not
+in N, x is in T' and not in T, so only -[s in T] is left.  with_coset
+therefore makes one pass over N, adding [x - r not in T'] - [x + r in T]
+for each new class x.
 
 A Hypothesis test (tests/test_library_fuzz.py) checks both folds against
 from_elements.
@@ -107,7 +116,9 @@ class CyclotomicCoset:
     elements: tuple[int, ...]
 
 
-def coset(spec: CodeSpec, s: int) -> CyclotomicCoset:
+def _orbit(spec: CodeSpec, s: int) -> tuple[int, ...]:
+    """The sorted coset of s: s reduced mod rn, checked to lie in Omega, and
+    multiplied by q^2 until the orbit closes; the module's one orbit walk."""
     rn = spec.rn
     start = s % rn
     if not in_omega(spec, start):
@@ -119,7 +130,14 @@ def coset(spec: CodeSpec, s: int) -> CyclotomicCoset:
         orbit.append(x)
         x = x * qq % rn
     orbit.sort()
-    return CyclotomicCoset(spec=spec, leader=orbit[0], elements=tuple(orbit))
+    return tuple(orbit)
+
+
+def coset(spec: CodeSpec, s: int) -> CyclotomicCoset:
+    """The coset of s (any integer, reduced mod rn) as a record: leader its
+    least class, elements sorted; ValueError naming s when s is outside Omega."""
+    orbit = _orbit(spec, s)
+    return CyclotomicCoset(spec, orbit[0], orbit)
 
 
 def cosets_meeting(spec: CodeSpec, classes: Iterable[int]) -> list[CyclotomicCoset]:
@@ -202,31 +220,28 @@ class DefiningSet:
             raise ValueError("element set is not a union of whole cosets")
         return cls(spec=spec, elements=elems,
                    t_ss=elems & frozenset(minus_q(spec, s) for s in elems),
-                   run_starts=_run_starts(spec, elems, elems))
+                   run_starts=sum(1 for s in elems if (s - spec.r) % spec.rn not in elems))
 
     def with_coset(self, s: int) -> DefiningSet:
-        """T | C(s), with t_ss and run_starts grown from C(s) alone; T itself
-        when C(s) <= T."""
-        spec = self.spec
-        c = coset(spec, s)
-        new = [x for x in c.elements if x not in self.elements]
+        """T | C(s), with t_ss and run_starts folded from C(s) alone in one
+        pass (module docstring); T itself when C(s) <= T, and coset()'s
+        ValueError when s is outside Omega."""
+        spec, elements = self.spec, self.elements
+        orbit = _orbit(spec, s)
+        new = [x for x in orbit if x not in elements]
         if not new:
             return self
-        elements = self.elements.union(new)
+        grown = elements.union(new)
+        q, r, rn = spec.q, spec.r, spec.rn
         # T' & -qC, and its -q image C & -qT'
-        meet = [z for z in (minus_q(spec, x) for x in c.elements) if z in elements]
-        t_ss = self.t_ss.union(meet, (minus_q(spec, z) for z in meet))
-        # only the new classes and their successors can start or stop a run
-        touched = set(new).union((x + spec.r) % spec.rn for x in new)
-        run_starts = (self.run_starts + _run_starts(spec, elements, touched)
-                      - _run_starts(spec, self.elements, touched))
-        return DefiningSet(spec=spec, elements=elements, t_ss=t_ss, run_starts=run_starts)
-
-
-def _run_starts(spec: CodeSpec, elements: frozenset[int], classes: Iterable[int]) -> int:
-    """How many of classes are in elements without their predecessor s - r."""
-    r, rn = spec.r, spec.rn
-    return sum(1 for s in classes if s in elements and (s - r) % rn not in elements)
+        meet = [z for z in [(rn - q * x) % rn for x in orbit] if z in grown]
+        t_ss = self.t_ss.union(meet, [(rn - q * z) % rn for z in meet]) if meet else self.t_ss
+        # a new class x starts a run unless x - r is in T'; its successor
+        # x + r, when already in T, stops starting one
+        run_starts = self.run_starts
+        for x in new:
+            run_starts += ((x - r) % rn not in grown) - ((x + r) % rn in elements)
+        return DefiningSet(spec, grown, t_ss, run_starts)
 
 
 def t_minus_q(t: DefiningSet) -> frozenset[int]:

@@ -4,12 +4,12 @@ import sys
 
 import pytest
 
-from eaqmds import catalog, codes
+from eaqmds import catalog, codes, cosets
 from eaqmds.catalog import (CatalogRow, ConfigError, RunConfig, TABLE_ENTRIES,
                             generate_catalog, read_config_file, rows_for_combo,
                             serialize_csv, serialize_json, table1_family)
 from eaqmds.codes import distance_check_feasible
-from eaqmds.families import FamilyId
+from eaqmds.families import FamilyId, construction
 from eaqmds.verify import run_verification
 
 
@@ -213,3 +213,18 @@ def test_rows_for_combo_builds_each_code_once(monkeypatch):
                           exact_distance=True)
     assert len(rows) == 4
     assert len(calls) == len(rows)
+
+
+def test_a_sweep_walks_one_orbit_per_index_and_builds_no_coset_record(monkeypatch):
+    calls: dict[str, list[int]] = {"coset": [], "_orbit": []}
+    for name in calls:
+        def counted(spec, s, name=name, original=getattr(cosets, name)):
+            calls[name].append(s)
+            return original(spec, s)
+        monkeypatch.setattr(cosets, name, counted)
+    rows = rows_for_combo(FamilyId.Q2P1_NEGA, 13, None)
+    c = construction(FamilyId.Q2P1_NEGA, 13)
+    # the sweep grows T from lo, so the indices below the threshold count too
+    assert calls == {"coset": [],
+                     "_orbit": [c.start + c.spec.r * i for i in range(c.lo, c.hi + 1)]}
+    assert len(rows) == c.hi - c.threshold + 1

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eaqmds import cosets
-from eaqmds.cosets import (DefiningSet, all_cosets, coset, cosets_meeting, is_skew_symmetric,
-                           make_spec, minus_q, omega_set, skew_partner, t_minus_q)
+from eaqmds.cosets import (CyclotomicCoset, DefiningSet, all_cosets, coset, cosets_meeting,
+                           is_skew_symmetric, make_spec, minus_q, omega_set, skew_partner,
+                           t_minus_q)
 from oracles import orbits_by_iteration
 
 # Specs with rn <= 1000 used by the exhaustive property suites: the small
@@ -103,6 +104,24 @@ def test_coset_reduces_its_argument_mod_rn():
     # the message names the argument as given, not its residue
     with pytest.raises(ValueError, match=r"^-40 is not in Omega"):
         coset(spec, 12 - spec.rn)
+
+
+def test_coset_is_the_orbit_by_repeated_multiplication():
+    for spec in specs():
+        for s in omega_set(spec):
+            (orbit,) = orbits_by_iteration(spec, [s])
+            assert coset(spec, s) == CyclotomicCoset(spec, orbit[0], orbit)
+
+
+def test_with_coset_rejects_outside_omega_as_coset_does():
+    spec = make_spec(5, 2, 26)
+    t = DefiningSet.from_leaders(spec, [13])
+    for s in (12, 12 - spec.rn):
+        with pytest.raises(ValueError) as from_coset:
+            coset(spec, s)
+        with pytest.raises(ValueError) as from_step:
+            t.with_coset(s)
+        assert str(from_step.value) == str(from_coset.value) == f"{s} is not in Omega for {spec!r}"
 
 
 def test_cosets_partition_omega():

@@ -95,19 +95,33 @@ def _spec(draw):
     return make_spec(q, r, n)
 
 
-@given(data=st.data())
-def test_folding_the_step_equals_the_from_scratch_build(data):
-    spec = data.draw(_spec())
+PICKS = st.lists(st.integers(min_value=0, max_value=59), max_size=12)
+
+
+@given(spec=_spec(), picks=PICKS, raw_picks=PICKS)
+# C(51) = {27, 51} and C(1) = {1, 25}: the run at indices 25, 0 wraps
+@example(spec=make_spec(5, 2, 26), picks=[25, 0], raw_picks=[])
+# r = q + 1, the Q2P1_CONSTA shape: its sweep start + r*k, k = 0..9
+@example(spec=make_spec(7, 8, 50), picks=list(range(3, 13)), raw_picks=[])
+# class 15 again: its coset {11, 15} is already in T
+@example(spec=make_spec(5, 2, 26), picks=[7, 6, 7], raw_picks=[])
+# every class of Omega, so no class starts a run
+@example(spec=make_spec(3, 4, 10), picks=list(range(10)), raw_picks=[])
+def test_folding_the_step_equals_the_from_scratch_build(spec, picks, raw_picks):
     omega = omega_set(spec)
-    classes = st.sampled_from(omega)
-    seq = data.draw(st.lists(classes, max_size=12))
+    seq = [omega[i % spec.n] for i in picks]
     t = DefiningSet.from_elements(spec, ())
     for s in seq:
-        t = t.with_coset(s)
+        grown = t.with_coset(s)
+        if t.elements.issuperset(coset(spec, s).elements):
+            assert grown is t
+        t = grown
     assert _fields(t) == _fields(DefiningSet.from_leaders(spec, seq))
+    if t.elements == frozenset(omega):
+        assert t.run_starts == 0
 
     # a start that is not a union of whole cosets
-    raw = set(data.draw(st.lists(classes, max_size=8)))
+    raw = {omega[i % spec.n] for i in raw_picks}
     t = DefiningSet.from_elements(spec, raw, check_closure=False)
     for s in seq:
         t = t.with_coset(s)
@@ -115,7 +129,7 @@ def test_folding_the_step_equals_the_from_scratch_build(data):
     assert _fields(t) == _fields(DefiningSet.from_elements(spec, raw, check_closure=False))
 
 
-@given(spec=_spec(), picks=st.lists(st.integers(min_value=0, max_value=59), max_size=12))
+@given(spec=_spec(), picks=PICKS)
 @example(spec=make_spec(3, 1, 1), picks=[0])  # rn = 1: Omega = {0}
 @example(spec=make_spec(5, 2, 1), picks=[0])  # n = 1, r = 2: Omega = {1}
 @example(spec=make_spec(5, 2, 13), picks=[0, 3])  # C(1) | C(7) = {1, 25} | {7, 19}: three runs
