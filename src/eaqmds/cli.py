@@ -234,8 +234,7 @@ def cmd_code(args, cfg: RunConfig) -> int:
     if cfg.rank_oracle:
         e = derive_eaq(code)
         payload["eaq"] = {"n": e.n, "k": e.k, "d": e.d, "c": e.c, "mds": e.mds}
-        lines.append(f"EA parameters: [[{e.n}, {e.k}, {e.d}; {e.c}]]_"
-                     f"{spec.q} mds={str(e.mds).lower()}")
+        lines.append(f"EA parameters: {e} mds={str(e.mds).lower()}")
     if cfg.exact_distance:
         d = exact_distance_small(code, cap=cfg.distance_cap, budget=cfg.distance_budget)
         payload["exact_distance"] = d if d is not None else "exceeds-cap"

@@ -86,7 +86,7 @@ class Tower:
 def build_tower(spec: CodeSpec) -> Tower:
     q2 = make_field(spec.p, 2 * spec.ell)
     top, embed = extend(q2, spec.m)
-    omega = top.pow(top.primitive_code(), spec.omega_exponent_base)
+    omega = top.pow(top.primitive_code(), (top.order - 1) // spec.rn)
     if top.element_order(omega) != spec.rn:
         raise InconsistentRootSystemError(f"omega does not have order rn={spec.rn}")
     eta = embed.descend(top.pow(omega, spec.n))

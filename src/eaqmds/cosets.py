@@ -58,9 +58,7 @@ class CodeSpec:
 
     q = p^ell; r divides q+1 and is the order of eta; n is the code length
     with gcd(n, q) = 1; m is the multiplicative order of q^2 modulo rn, so
-    the rn-th roots of unity live in F_{q^(2m)}; omega_exponent_base is the
-    exponent e with omega = gamma^e for the canonical primitive gamma of
-    F_{q^(2m)}.
+    the rn-th roots of unity live in F_{q^(2m)}.  Build one with make_spec.
     """
 
     q: int
@@ -70,24 +68,6 @@ class CodeSpec:
     n: int
     rn: int
     m: int
-    omega_exponent_base: int
-
-    @classmethod
-    def create(cls, q: int, r: int, n: int) -> CodeSpec:
-        p, ell = prime_power_split(q)
-        if r < 1 or (q + 1) % r != 0:
-            raise ValueError(f"r={r} must divide q+1={q + 1}")
-        if n < 1 or math.gcd(n, q) != 1:
-            raise ValueError(f"length n={n} must be coprime to q={q}")
-        rn = r * n
-        qq = q * q % rn
-        # the order of q^2 modulo rn; modulo rn = 1 every residue is 1 % rn = 0
-        m, acc = 1, qq
-        while acc != 1 % rn:
-            acc = acc * qq % rn
-            m += 1
-        return cls(q=q, p=p, ell=ell, r=r, n=n, rn=rn, m=m,
-                   omega_exponent_base=(q ** (2 * m) - 1) // rn)
 
     def __repr__(self) -> str:
         return f"CodeSpec(q={self.q}, r={self.r}, n={self.n})"
@@ -95,7 +75,21 @@ class CodeSpec:
 
 @lru_cache(maxsize=None)
 def make_spec(q: int, r: int, n: int) -> CodeSpec:
-    return CodeSpec.create(q, r, n)
+    """The spec of (q, r, n), checked and with m computed; ValueError when q is
+    not a prime power, r does not divide q+1 or n is not coprime to q."""
+    p, ell = prime_power_split(q)
+    if r < 1 or (q + 1) % r != 0:
+        raise ValueError(f"r={r} must divide q+1={q + 1}")
+    if n < 1 or math.gcd(n, q) != 1:
+        raise ValueError(f"length n={n} must be coprime to q={q}")
+    rn = r * n
+    qq = q * q % rn
+    # the order of q^2 modulo rn; modulo rn = 1 every residue is 1 % rn = 0
+    m, acc = 1, qq
+    while acc != 1 % rn:
+        acc = acc * qq % rn
+        m += 1
+    return CodeSpec(q=q, p=p, ell=ell, r=r, n=n, rn=rn, m=m)
 
 
 def omega_set(spec: CodeSpec) -> list[int]:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import ConstacyclicCode
-from .cosets import CodeSpec, DefiningSet
+from .codes import ConstacyclicCode, bch_delta
+from .cosets import DefiningSet
 from .fields import Matrix
 
 
@@ -39,8 +39,11 @@ VERIFIED_EXACT = "exact-distance"
 class EaqParams:
     """[[n, k, d; c]]_q parameters with the strongest check that ran on them.
 
-    d is the BCH lower bound of the source code; when the EA-Singleton bound
-    holds with equality that bound is the exact distance.  verified is
+    from_defining_set reads all of them from the defining set T: c = |T_ss|,
+    k = n - 2|T| + c and d = delta(T), the BCH bound of the source code.
+    mds is the EA-Singleton equality n + c - k = 2(d - 1); as n + c - k =
+    2|T|, it says d = |T| + 1, which holds exactly when T is a single run of
+    consecutive classes, and then d is the exact distance.  verified is
     VERIFIED_BCH when only the set arithmetic ran, VERIFIED_RANK when
     rank(H H^dagger) matched |T_ss| as well, and VERIFIED_EXACT when the
     exhaustive distance sweep confirmed d = n - k + 1 of the source code.
@@ -62,10 +65,9 @@ class EaqParams:
         return f"[[{self.n}, {self.k}, {self.d}; {self.c}]]_{self.q}"
 
     @classmethod
-    def from_defining_set(cls, spec: CodeSpec, t: DefiningSet, d: int,
-                          verified: str) -> EaqParams:
-        """[[n, n - 2|T| + |T_ss|, d; |T_ss|]]_q for the defining set t."""
-        c = len(t.t_ss)
+    def from_defining_set(cls, t: DefiningSet, verified: str) -> EaqParams:
+        """[[n, n - 2|T| + |T_ss|, delta(T); |T_ss|]]_q for the defining set t."""
+        spec, c, d = t.spec, len(t.t_ss), bch_delta(t)
         k = spec.n - 2 * len(t.elements) + c
         return cls(q=spec.q, n=spec.n, k=k, d=d, c=c,
                    mds=spec.n + c - k == 2 * (d - 1), verified=verified)
@@ -103,5 +105,4 @@ def derive_eaq(code: ConstacyclicCode) -> EaqParams:
     mismatches = ebit_mismatches(code)
     if mismatches:
         raise EbitOracleMismatch(f"{code!r}: " + "; ".join(mismatches))
-    return EaqParams.from_defining_set(code.spec, code.defining_set, code.bch_delta,
-                                       VERIFIED_RANK)
+    return EaqParams.from_defining_set(code.defining_set, VERIFIED_RANK)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from .codes import (DEFAULT_DISTANCE_BUDGET, bch_delta, build_code,
-                    distance_check_feasible, exact_distance_small)
+from .codes import (DEFAULT_DISTANCE_BUDGET, build_code, distance_check_feasible,
+                    exact_distance_small)
 from .cosets import CodeSpec, DefiningSet, make_spec
 from .eaq import (VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK, EaqParams,
                   ebit_mismatches)
@@ -176,9 +176,9 @@ def instance_params(c: Construction, k: int, t: DefiningSet, *,
     whose defining set t is T_k as c.defining_sets yields it.
 
     Raises FamilyError when k lies outside the proved range.  Always checks
-    that the computed |T_ss| matches the family prediction, that the
-    defining set is a single consecutive run so the BCH bound is |T| + 1,
-    and that the Singleton equality holds.  rank_oracle adds the exact ebit
+    that the computed |T_ss| matches the family prediction and that the
+    params are EA-MDS, that is that the defining set is a single consecutive
+    run, so that the BCH bound is |T| + 1.  rank_oracle adds the exact ebit
     oracles of eaq.ebit_mismatches; exact_distance adds the exhaustive distance
     sweep wherever distance_check_feasible allows it.  The code is built at
     most once, and only for those two checks.  Every failure is collected
@@ -205,12 +205,9 @@ def instance_params(c: Construction, k: int, t: DefiningSet, *,
             if d != code.n - code.dim + 1:
                 failures.append(f"exact distance {d} != n-k+1 = {code.n - code.dim + 1}")
             verified = VERIFIED_EXACT
-    bch = bch_delta(t)
-    if bch != size + 1:
-        failures.append(f"defining set is not a single run: bch={bch}, |T|={size}")
-    params = EaqParams.from_defining_set(spec, t, bch, verified)
+    params = EaqParams.from_defining_set(t, verified)
     if not params.mds:
-        failures.append(f"Singleton equality fails for {params}")
+        failures.append(f"defining set is not a single run: bch={params.d}, |T|={size}")
     if failures:
         raise VerificationError(f"{c.label(k)}: " + "; ".join(failures), verified)
     return params

@@ -2,13 +2,13 @@
 
 For every family instance in scope this runs families.instance_params with
 the rank oracle on, which checks the predicted |T_ss| against the computed
-decomposition and against rank(H H^dagger), the BCH bound against the
-defining-set run length, the Singleton equality, and (where the enumeration
-budget allows) the exact minimum distance.  A failed instance becomes a
-FAIL line instead of stopping the run.  run_verification checks its level,
-budget and worker count by making a RunConfig of them, as the CLI's
-settings are checked.  Each construction (family, q, h)
-is one fan_out task, whose T_k chain _combo_reports sweeps once, one index
+decomposition and against rank(H H^dagger), the EA-Singleton equality,
+which holds exactly when the defining set is a single run, and (where the
+enumeration budget allows) the exact minimum distance.  A failed instance
+becomes a FAIL line instead of stopping the run.  run_verification checks
+its level, budget and worker count by making a RunConfig of them, as the
+CLI's settings are checked.  Each construction (family, q, h) is one
+fan_out task, whose T_k chain _combo_reports sweeps once, one index
 past its proved range; the same sweep's |T_ss| counts give the note on
 where the published range statement and the computed |T_ss| disagree.
 """

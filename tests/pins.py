@@ -125,6 +125,9 @@ PINS = [
     # a g over F_{41^2}, above the lookup-table cap, multiplied by packed products
     Pin(("code", "41", "7", "240", "--cosets", "1,8,15", "--rank-oracle", "--format", "json"),
         False, "b805a9bb68a7d128262b8bef70511da49590296763aa8d7d862baca61cbbbbc1", 24, 60),
+    # the text report of code with both oracles: its EA line is EaqParams.__str__
+    Pin(("code", "5", "3", "8", "--cosets", "1,4,7", "--rank-oracle", "--exact-distance"),
+        False, "d80ba7a2d062dbb0ef93367254a78fe231eaf316711b9692da51d58f6b4a0be9", 6, 60),
     # the coset partition of Omega is one walk in leader order; these lists
     # (r = q+1 and r = 2) keep the bytes of the walk in index order, sorted
     Pin(("cosets", "9", "10", "82", "--format", "json"), False,

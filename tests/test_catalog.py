@@ -7,7 +7,7 @@ import pytest
 from eaqmds import catalog, codes, cosets
 from eaqmds.catalog import (CatalogRow, ConfigError, RunConfig, TABLE_ENTRIES,
                             generate_catalog, read_config_file, rows_for_combo,
-                            serialize_csv, serialize_json, table1_family)
+                            serialize, serialize_csv, serialize_json, table1_family)
 from eaqmds.codes import distance_check_feasible
 from eaqmds.families import FamilyId, construction
 from eaqmds.verify import run_verification
@@ -165,6 +165,13 @@ def test_serialization_recomputes_singleton():
         serialize_csv([bogus])
     with pytest.raises(RuntimeError):
         serialize_json([bogus])
+
+
+def test_serialize_rejects_an_unknown_format():
+    rows = rows_for_combo(FamilyId.TENTH_3, 13, None)
+    with pytest.raises(ConfigError) as err:
+        serialize(rows, "xml")
+    assert str(err.value) == "unknown format 'xml'"
 
 
 def test_rows_for_combo_exact_distance_level():

@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from eaqmds import cli, codes
+from eaqmds import cli, codes, verify
 from eaqmds.cli import main
 from eaqmds.codes import exact_distance_small
 from eaqmds.cosets import all_cosets, make_spec
@@ -70,7 +70,7 @@ def test_cosets_invalid_spec_exit_2(capsys):
     assert code == 2 and "divide" in err
 
 
-# rn = r*n = 1 once made the order loop of CodeSpec.create run forever, so
+# rn = r*n = 1 once made the order loop of make_spec run forever, so
 # these run in a child process with a timeout
 @pytest.mark.parametrize("argv,rc,out,err", [
     (["cosets", "3", "1", "1"], 0,
@@ -194,10 +194,13 @@ def test_one_huge_coset_is_walked_once(command, rc):
 def test_code_command_with_oracles(capsys):
     code, out, _ = run_cli(capsys, "code", "5", "3", "8", "--cosets", "1,4,7",
                            "--rank-oracle", "--exact-distance")
-    assert code == 0
-    assert "[8, 5, >=4]" in out
-    assert "[[8, 3, 4; 1]]_5" in out
-    assert "exact distance: 4" in out
+    # the whole text, also pinned in tests/pins.py; the EA line is EaqParams.__str__
+    assert (code, out) == (0, "[8, 5, >=4] over GF(5^2)\n"
+                              "defining set: [1, 4, 7]\n"
+                              "gen poly coefficient codes: [1, 11, 3, 1]\n"
+                              "|T_ss| = 1\n"
+                              "EA parameters: [[8, 3, 4; 1]]_5 mds=true\n"
+                              "exact distance: 4 (mds-bch)\n")
 
 
 def test_code_command_corrupted_elements_exit_1(capsys):
@@ -215,6 +218,18 @@ def test_code_command_split_coset_message_and_verify_canary(capsys):
     assert code == 0
     assert ("[ok] descent-canary q=5 (drop one coset element) -> rejected as expected "
             "(negative-control)") in out.splitlines()
+
+
+def test_verify_fails_when_the_descent_canary_is_accepted(monkeypatch, capsys):
+    # a build_code that accepts the split coset {13, 15}: the negative control
+    # must turn into a FAIL line, and verify into exit 1
+    monkeypatch.setattr(verify, "build_code", lambda spec, t: None)
+    code, out, _ = run_cli(capsys, "verify", "--q-max", "5", "--no-exact-distance")
+    assert code == 1
+    lines = out.splitlines()
+    assert ("[FAIL] descent-canary q=5 (drop one coset element) -> - (negative-control) "
+            ":: corrupted defining set was not rejected") in lines
+    assert lines[-1].endswith(" ok, 1 failed")
 
 
 # gen_poly_coeffs is the one output that shows the subfield descent map;

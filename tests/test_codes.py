@@ -34,6 +34,9 @@ def test_tower_omega_and_eta_orders():
     for args in [(5, 2, 26), (5, 3, 8), (13, 2, 17), (7, 8, 50), (9, 2, 82)]:
         spec = make_spec(*args)
         tower = build_tower(spec)
+        # omega = gamma^e for the canonical primitive gamma of F_{q^(2m)}
+        e = (spec.q ** (2 * spec.m) - 1) // spec.rn
+        assert tower.omega == tower.top.pow(tower.top.primitive_code(), e)
         assert tower.top.element_order(tower.omega) == spec.rn
         assert tower.q2.element_order(tower.eta) == spec.r
         assert tower.embed.descend(tower.top.pow(tower.omega, spec.n)) == tower.eta
@@ -307,6 +310,16 @@ def test_defining_set_of_another_spec_rejected():
         with pytest.raises(ValueError) as err:
             build_code(spec, DefiningSet.from_leaders(other, leaders))
         assert str(err.value) == message
+
+
+def test_defining_set_outside_omega_rejected():
+    # a record built past from_elements' Omega check: 2 is even, and Omega
+    # of (5, 2, 26) holds the odd classes
+    spec = make_spec(5, 2, 26)
+    t = DefiningSet(spec, frozenset({1, 2}), frozenset(), 2)
+    with pytest.raises(ValueError) as err:
+        build_code(spec, t)
+    assert str(err.value) == "defining set leaves Omega"
 
 
 # ---------------------------------------------------------------------------

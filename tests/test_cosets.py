@@ -44,7 +44,6 @@ def test_spec_m_is_minimal():
         assert pow(qq, spec.m, spec.rn) == 1
         assert all(pow(qq, j, spec.rn) != 1 for j in range(1, spec.m))
         assert (spec.q ** (2 * spec.m) - 1) % spec.rn == 0
-        assert spec.omega_exponent_base == (spec.q ** (2 * spec.m) - 1) // spec.rn
 
 
 # ---------------------------------------------------------------------------

@@ -171,15 +171,14 @@ def test_ebit_count_bounds_enforced():
 # ---------------------------------------------------------------------------
 
 def test_singleton_equalities():
-    # mds is the EA-Singleton equality n + c - k = 2(d - 1); one less or
-    # one more d breaks it
-    for (q, r, n), elements, d, expected in [
-            ((5, 2, 26), [7, 9, 11, 13, 15, 17, 19], 8, (26, 16, 8, 4)),
-            ((5, 3, 8), [1, 4, 7], 4, (8, 3, 4, 1)),
-            ((13, 2, 17), [17], 2, (17, 16, 2, 1))]:
-        spec = make_spec(q, r, n)
-        t = DefiningSet.from_elements(spec, elements)
-        p = EaqParams.from_defining_set(spec, t, d, "bch-only")
-        assert (p.n, p.k, p.d, p.c) == expected and p.mds
-        for off in (d - 1, d + 1):
-            assert not EaqParams.from_defining_set(spec, t, off, "bch-only").mds
+    # mds is the EA-Singleton equality n + c - k = 2(d - 1) with d = delta(T),
+    # that is d = |T| + 1: it holds on a single run and fails on the two runs
+    # {7, 19} | {11, 15}, the cosets of 7 and 11, whose bound is 2
+    for (q, r, n), elements, expected, mds in [
+            ((5, 2, 26), [7, 9, 11, 13, 15, 17, 19], (26, 16, 8, 4), True),
+            ((5, 3, 8), [1, 4, 7], (8, 3, 4, 1), True),
+            ((13, 2, 17), [17], (17, 16, 2, 1), True),
+            ((5, 2, 26), [7, 11, 15, 19], (26, 18, 2, 0), False)]:
+        t = DefiningSet.from_elements(make_spec(q, r, n), elements)
+        p = EaqParams.from_defining_set(t, "bch-only")
+        assert (p.n, p.k, p.d, p.c, p.mds, p.verified) == expected + (mds, "bch-only")

@@ -320,8 +320,11 @@ def test_verification_error_names_instance():
 
 
 # each oracle of instance_params, made to disagree by one, fails with its own
-# text; the ebit oracles run inside eaq.ebit_mismatches, so they are patched in eaq
+# text; the ebit oracles run inside eaq.ebit_mismatches and d is read by
+# EaqParams.from_defining_set, so those are patched in eaq
 ORACLE_MISMATCHES = {
+    "bch": (eaq, "bch_delta", lambda t: len(t.elements),
+            "Q2P1_NEGA q=5 k=3: defining set is not a single run: bch=7, |T|=7"),
     "rank": (eaq, "ebits_rank_oracle", lambda code: len(code.defining_set.t_ss) + 1,
              "Q2P1_NEGA q=5 k=3: rank oracle 5 != |T_ss| 4"),
     "exact": (families, "exact_distance_small", lambda code, budget: code.n - code.dim,

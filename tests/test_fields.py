@@ -237,6 +237,23 @@ def test_pow_equals_schoolbook_below_and_above_the_table_cap(field):
             assert field.pow(a, e) == oracles.schoolbook_pow(field, a, e)
 
 
+@pytest.mark.parametrize("field", [F25, make_field(37, 2)], ids=repr)
+def test_zero_has_no_inverse_or_order_and_negative_powers_invert(field):
+    # below the cap inv reads its table, above it inv is a power
+    assert field._has_tables() == (field.order <= _TABLE_MAX_ORDER)
+    with pytest.raises(ZeroDivisionError, match="zero has no inverse"):
+        field.inv(0)
+    with pytest.raises(ZeroDivisionError, match="zero has no inverse"):
+        field.pow(0, -1)
+    with pytest.raises(ValueError, match="zero has no multiplicative order"):
+        field.element_order(0)
+    rng = random.Random(field.order)
+    for a in [1] + [rng.randrange(2, field.order) for _ in range(3)]:
+        for e in [1, 2, 7, field.order - 2]:
+            assert field.pow(a, -e) == field.pow(field.inv(a), e)
+            assert oracles.schoolbook_mul(field, field.pow(a, -e), field.pow(a, e)) == 1
+
+
 def test_pow_squares_only_between_exponent_bits(monkeypatch):
     products = []
     field_mul = Field.mul
@@ -338,6 +355,20 @@ def test_packing_tables_are_shared_and_bounded():
     # one digit packs as itself: a large prime field keeps no entries
     table = _packing(65537, 1)[2]
     assert table == range(65537) and isinstance(table, range)
+
+
+def test_packing_shrinks_the_chunk_to_the_table_bound():
+    # half of six digits is three, but a table of 17^3 = 4913 entries would
+    # pass the bound, so a chunk is two digits
+    _, chunk, table = _packing(17, 6)
+    assert 17**3 > _PACK_TABLE_MAX >= 17**2
+    assert (chunk, len(table)) == (2, 17**2)
+    field = make_field(17, 6)
+    assert field._packed[1] == 17**2
+    rng = random.Random(17)
+    for _ in range(200):
+        a, b = rng.randrange(field.order), rng.randrange(field.order)
+        assert field.mul(a, b) == oracles.schoolbook_mul(field, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +516,18 @@ def test_identity_rank_and_empty_nullspace():
     m = Matrix(F25, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert m.rank() == 3
     assert m.right_nullspace().rows == 0
+
+
+def test_matrix_rejects_ragged_mismatched_and_shapeless_entries():
+    for entries, cols, message in [
+            ([[1, 0], [1]], None, "ragged rows"),
+            ([[1, 0], [0, 1]], 3, "column count does not match the rows"),
+            ([], None, "empty matrix needs an explicit column count")]:
+        with pytest.raises(ValueError) as err:
+            Matrix(F25, entries, cols=cols)
+        assert str(err.value) == message
+    empty = Matrix(F25, [], cols=3)
+    assert (empty.rows, empty.cols, empty.entries) == (0, 3, ())
 
 
 def test_zero_matrix_rank_and_full_nullspace():
