@@ -8,9 +8,8 @@ from .codes import (CoefficientDescentError, ConstacyclicCode,
                     DistanceBudgetExceeded, InconsistentRootSystemError,
                     bch_delta, build_code, build_tower, classical_mds_verdict,
                     exact_distance_small)
-from .cosets import (CodeSpec, CyclotomicCoset, DefiningSet, all_cosets, coset,
-                     is_skew_symmetric, make_spec, omega_set, skew_partner,
-                     t_minus_q)
+from .cosets import (CodeSpec, DefiningSet, all_cosets, coset, is_skew_symmetric,
+                     make_spec, omega_set, skew_partner, t_minus_q)
 from .eaq import EaqParams, EbitOracleMismatch, derive_eaq, ebits_rank_oracle
 from .families import (Construction, FamilyError, FamilyId, VerificationError,
                        construction, instance_params)
@@ -25,8 +24,8 @@ __all__ = [
     "CoefficientDescentError", "ConstacyclicCode", "DistanceBudgetExceeded",
     "InconsistentRootSystemError", "bch_delta", "build_code", "build_tower",
     "classical_mds_verdict", "exact_distance_small",
-    "CodeSpec", "CyclotomicCoset", "DefiningSet", "all_cosets", "coset",
-    "is_skew_symmetric", "make_spec", "omega_set", "skew_partner", "t_minus_q",
+    "CodeSpec", "DefiningSet", "all_cosets", "coset", "is_skew_symmetric",
+    "make_spec", "omega_set", "skew_partner", "t_minus_q",
     "EaqParams", "EbitOracleMismatch", "derive_eaq", "ebits_rank_oracle",
     "Construction", "FamilyError", "FamilyId", "VerificationError",
     "construction", "instance_params",

@@ -237,6 +237,16 @@ def rows_for_combo(family: FamilyId, q: int, h: int | None, *,
                    distance_budget: int = DEFAULT_DISTANCE_BUDGET,
                    include_qmds_datapoints: bool = False,
                    source_table: int | None = None) -> list[CatalogRow]:
+    """The rows of one construction (family, q, h), in ascending k, at the
+    level the oracle flags ask for; FamilyError when it does not apply.
+
+    include_qmds_datapoints defaults to False here, so the zero-ebit rows
+    below the threshold are left out, whereas Construction.indices and
+    RunConfig default to True (the `family` command passes RunConfig's
+    value).  The benchmark's table-entry runs call this without the
+    keyword and rely on that default: published table entries hold no
+    QMDS datapoint rows.
+    """
     c = construction(family, q, h)
     name = family.value
     rows = []

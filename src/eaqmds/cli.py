@@ -150,8 +150,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -168,12 +171,12 @@ def _emit_report(payload: dict, lines: list[str], cfg: RunConfig) -> int:
 def _coset_records(spec) -> list[dict]:
     records = []
     for c in all_cosets(spec):
-        if is_skew_symmetric(c):
+        if is_skew_symmetric(spec, c):
             cls, partner = "skew-symmetric", None
         else:
-            partner = skew_partner(c).leader
+            partner = skew_partner(spec, c)[0]
             cls = f"paired-with-C_{partner}"
-        records.append({"leader": c.leader, "elements": list(c.elements),
+        records.append({"leader": c[0], "elements": list(c),
                         "classification": cls, "partner": partner})
     return records
 

@@ -170,7 +170,7 @@ def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:
     # factor with a coefficient outside F_{q^2}, and descent rejects it
     gen_poly = Poly(q2, (1,))
     for c in cosets_meeting(spec, t.elements):
-        orbit = tuple(j for j in c.elements if j in t.elements)
+        orbit = tuple(j for j in c if j in t.elements)
         try:
             factor = minimal_polynomial(spec, orbit)
         except ValueError as exc:

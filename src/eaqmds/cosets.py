@@ -3,11 +3,12 @@
 Everything here is integer set arithmetic on the class set
 Omega = {1 + ri mod rn : 0 <= i < n}; no field elements are built.  A
 defining set T splits as T = T_ss | T_sas with T_ss = T & T^{-q}, and
-|T_ss| is the ebit count consumed downstream.  One orbit walk, _orbit,
-gives the sorted coset of a class; coset() wraps it in a record, and
-cosets_meeting splits a set of classes into its q^2-orbits, each orbit
-once: all_cosets, DefiningSet's closure check and leaders, and
-codes.build_code run on it.
+|T_ss| is the ebit count consumed downstream.  A coset is the sorted
+tuple of its classes, so its leader, the least class, is at index 0, and
+every caller already holds the spec it belongs to.  coset() is the one
+orbit walk; cosets_meeting splits a set of classes into its q^2-orbits,
+each walked once: all_cosets, DefiningSet's closure check and leaders,
+and codes.build_code run on it.
 
 DefiningSet.from_leaders passes the union of its cosets, which is closed,
 to from_elements without its closure walk; from_elements is the one place
@@ -20,8 +21,7 @@ and C & -qT' = -q(T' & -qC) because -q maps -qC onto q^2 C = C.  A step
 therefore costs O(|C|) set lookups besides copying T, so a sweep over
 nested sets T_lo <= T_lo+1 <= ... (families.Construction.defining_sets)
 never recomputes the -q image of a whole set.  The step reads C from
-_orbit, builds no coset record, and keeps T_ss itself when T' & -qC is
-empty.
+coset() and keeps T_ss itself when T' & -qC is empty.
 
 The run structure is folded the same way.  run_starts counts the classes
 s of T whose predecessor s - r (mod rn) is not in T, so T is one run of
@@ -101,18 +101,10 @@ def in_omega(spec: CodeSpec, s: int) -> bool:
     return 0 <= s < spec.rn and s % spec.r == 1 % spec.r
 
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    """Orbit of a class under multiplication by q^2 modulo rn."""
-
-    spec: CodeSpec
-    leader: int
-    elements: tuple[int, ...]
-
-
-def _orbit(spec: CodeSpec, s: int) -> tuple[int, ...]:
-    """The sorted coset of s: s reduced mod rn, checked to lie in Omega, and
-    multiplied by q^2 until the orbit closes; the module's one orbit walk."""
+def coset(spec: CodeSpec, s: int) -> tuple[int, ...]:
+    """The coset of s as a sorted tuple, its least class first: s reduced mod
+    rn, checked to lie in Omega (ValueError naming s), and multiplied by q^2
+    until the orbit closes; the module's one orbit walk."""
     rn = spec.rn
     start = s % rn
     if not in_omega(spec, start):
@@ -127,14 +119,7 @@ def _orbit(spec: CodeSpec, s: int) -> tuple[int, ...]:
     return tuple(orbit)
 
 
-def coset(spec: CodeSpec, s: int) -> CyclotomicCoset:
-    """The coset of s (any integer, reduced mod rn) as a record: leader its
-    least class, elements sorted; ValueError naming s when s is outside Omega."""
-    orbit = _orbit(spec, s)
-    return CyclotomicCoset(spec, orbit[0], orbit)
-
-
-def cosets_meeting(spec: CodeSpec, classes: Iterable[int]) -> list[CyclotomicCoset]:
+def cosets_meeting(spec: CodeSpec, classes: Iterable[int]) -> list[tuple[int, ...]]:
     """The cosets that meet classes (reduced, in Omega), one walk per orbit,
     ordered by the least class each holds: by leader when classes are closed."""
     seen: set[int] = set()
@@ -142,12 +127,12 @@ def cosets_meeting(spec: CodeSpec, classes: Iterable[int]) -> list[CyclotomicCos
     for s in sorted(classes):
         if s not in seen:
             c = coset(spec, s)
-            seen.update(c.elements)
+            seen.update(c)
             out.append(c)
     return out
 
 
-def all_cosets(spec: CodeSpec) -> list[CyclotomicCoset]:
+def all_cosets(spec: CodeSpec) -> list[tuple[int, ...]]:
     """The coset partition of Omega, ordered by leader."""
     return cosets_meeting(spec, omega_set(spec))
 
@@ -156,14 +141,14 @@ def minus_q(spec: CodeSpec, s: int) -> int:
     return (spec.rn - spec.q * s) % spec.rn
 
 
-def is_skew_symmetric(c: CyclotomicCoset) -> bool:
-    """True when the coset contains its own image under s -> -qs."""
-    return minus_q(c.spec, c.leader) in c.elements
+def is_skew_symmetric(spec: CodeSpec, c: tuple[int, ...]) -> bool:
+    """True when the coset c contains its own image under s -> -qs."""
+    return minus_q(spec, c[0]) in c
 
 
-def skew_partner(c: CyclotomicCoset) -> CyclotomicCoset:
-    """The coset containing -q*leader; equals c exactly when skew-symmetric."""
-    return coset(c.spec, minus_q(c.spec, c.leader))
+def skew_partner(spec: CodeSpec, c: tuple[int, ...]) -> tuple[int, ...]:
+    """The coset containing -q*c[0]; equals c exactly when skew-symmetric."""
+    return coset(spec, minus_q(spec, c[0]))
 
 
 @dataclass(frozen=True)
@@ -186,7 +171,7 @@ class DefiningSet:
     @property
     def leaders(self) -> tuple[int, ...]:
         """The sorted leaders of the cosets that T meets."""
-        return tuple(sorted(c.leader for c in cosets_meeting(self.spec, self.elements)))
+        return tuple(sorted(c[0] for c in cosets_meeting(self.spec, self.elements)))
 
     @property
     def t_sas(self) -> frozenset[int]:
@@ -195,7 +180,7 @@ class DefiningSet:
     @classmethod
     def from_leaders(cls, spec: CodeSpec, leaders: Iterable[int]) -> DefiningSet:
         """The union of the cosets of the leaders: whole cosets, so no closure walk."""
-        return cls.from_elements(spec, [e for s in leaders for e in coset(spec, s).elements],
+        return cls.from_elements(spec, [e for s in leaders for e in coset(spec, s)],
                                  check_closure=False)
 
     @classmethod
@@ -209,8 +194,7 @@ class DefiningSet:
         for e in elems:
             if not in_omega(spec, e):
                 raise ValueError(f"{e} is not in Omega for {spec!r}")
-        if check_closure and not all(elems.issuperset(c.elements)
-                                     for c in cosets_meeting(spec, elems)):
+        if check_closure and not all(elems.issuperset(c) for c in cosets_meeting(spec, elems)):
             raise ValueError("element set is not a union of whole cosets")
         return cls(spec=spec, elements=elems,
                    t_ss=elems & frozenset(minus_q(spec, s) for s in elems),
@@ -221,14 +205,14 @@ class DefiningSet:
         pass (module docstring); T itself when C(s) <= T, and coset()'s
         ValueError when s is outside Omega."""
         spec, elements = self.spec, self.elements
-        orbit = _orbit(spec, s)
-        new = [x for x in orbit if x not in elements]
+        c = coset(spec, s)
+        new = [x for x in c if x not in elements]
         if not new:
             return self
         grown = elements.union(new)
         q, r, rn = spec.q, spec.r, spec.rn
         # T' & -qC, and its -q image C & -qT'
-        meet = [z for z in [(rn - q * x) % rn for x in orbit] if z in grown]
+        meet = [z for z in [(rn - q * x) % rn for x in c] if z in grown]
         t_ss = self.t_ss.union(meet, [(rn - q * z) % rn for z in meet]) if meet else self.t_ss
         # a new class x starts a run unless x - r is in T'; its successor
         # x + r, when already in T, stops starting one

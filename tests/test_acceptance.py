@@ -140,18 +140,18 @@ def test_criterion_5_property_suites():
         for spec in _property_specs():
             cosets = all_cosets(spec)
             # partition of Omega
-            union = [e for c in cosets for e in c.elements]
+            union = [e for c in cosets for e in c]
             assert sorted(union) == sorted(omega_set(spec))
             # skew trichotomy through the partner involution
             for c in cosets:
-                partner = skew_partner(c)
-                if is_skew_symmetric(c):
-                    assert partner.elements == c.elements
+                partner = skew_partner(spec, c)
+                if is_skew_symmetric(spec, c):
+                    assert partner == c
                 else:
-                    assert partner.elements != c.elements
-                    assert minus_q(spec, c.leader) in partner.elements
+                    assert partner != c
+                    assert minus_q(spec, c[0]) in partner
             # decomposition matches the cosetwise characterization
-            leaders = [c.leader for c in cosets]
+            leaders = [c[0] for c in cosets]
             pools = [[l] for l in leaders]
             pools += [rng.sample(leaders, rng.randrange(2, min(len(leaders), 7) + 1))
                       for _ in range(20) if len(leaders) >= 2]
@@ -160,8 +160,8 @@ def test_criterion_5_property_suites():
                 expected = set()
                 for leader in t.leaders:
                     c = coset(spec, leader)
-                    if is_skew_symmetric(c) or set(skew_partner(c).elements) <= t.elements:
-                        expected.update(c.elements)
+                    if is_skew_symmetric(spec, c) or set(skew_partner(spec, c)) <= t.elements:
+                        expected.update(c)
                 assert t.t_ss == frozenset(expected)
 
         # every constructed code: g | x^n - eta and G H^T = 0; exact >= bch
@@ -169,7 +169,7 @@ def test_criterion_5_property_suites():
         for args in [(5, 2, 26), (5, 3, 8), (13, 2, 17), (9, 5, 16)]:
             spec = make_spec(*args)
             tower = build_tower(spec)
-            leaders = [c.leader for c in all_cosets(spec)]
+            leaders = [c[0] for c in all_cosets(spec)]
             for _ in range(6):
                 pick = rng.sample(leaders, rng.randrange(1, min(len(leaders), 5) + 1))
                 t = DefiningSet.from_leaders(spec, pick)

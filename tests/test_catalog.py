@@ -222,16 +222,17 @@ def test_rows_for_combo_builds_each_code_once(monkeypatch):
     assert len(calls) == len(rows)
 
 
-def test_a_sweep_walks_one_orbit_per_index_and_builds_no_coset_record(monkeypatch):
-    calls: dict[str, list[int]] = {"coset": [], "_orbit": []}
-    for name in calls:
-        def counted(spec, s, name=name, original=getattr(cosets, name)):
-            calls[name].append(s)
-            return original(spec, s)
-        monkeypatch.setattr(cosets, name, counted)
+def test_a_sweep_walks_one_orbit_per_index(monkeypatch):
+    calls: list[int] = []
+    original = cosets.coset
+
+    def counted(spec, s):
+        calls.append(s)
+        return original(spec, s)
+
+    monkeypatch.setattr(cosets, "coset", counted)
     rows = rows_for_combo(FamilyId.Q2P1_NEGA, 13, None)
     c = construction(FamilyId.Q2P1_NEGA, 13)
     # the sweep grows T from lo, so the indices below the threshold count too
-    assert calls == {"coset": [],
-                     "_orbit": [c.start + c.spec.r * i for i in range(c.lo, c.hi + 1)]}
+    assert calls == [c.start + c.spec.r * i for i in range(c.lo, c.hi + 1)]
     assert len(rows) == c.hi - c.threshold + 1

@@ -59,7 +59,7 @@ def test_cosets_json(capsys):
 
 def test_cosets_listed_by_leader_when_omega_ends_with_class_0(capsys):
     # for r = 1, Omega in index order is 1, 2, ..., rn - 1, 0
-    assert [c.leader for c in all_cosets(make_spec(4, 1, 5))] == [0, 1, 2, 3, 4]
+    assert [c[0] for c in all_cosets(make_spec(4, 1, 5))] == [0, 1, 2, 3, 4]
     code, out, _ = run_cli(capsys, "cosets", "4", "1", "5")
     assert code == 0
     assert out.splitlines()[2] == "C_0 = {0}  skew-symmetric"
@@ -352,6 +352,14 @@ def test_catalog_out_file_and_determinism(tmp_path, capsys):
     assert main(["--out", str(out2), "catalog", "--tables", "5,6"]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["missing-dir/x.txt", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_path_exit_2(tmp_path, capsys, target):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, "cosets", "5", "2", "26", "--out", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_catalog_empty_family_filter(capsys):

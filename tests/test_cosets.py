@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eaqmds import cosets
-from eaqmds.cosets import (CyclotomicCoset, DefiningSet, all_cosets, coset, cosets_meeting,
-                           is_skew_symmetric, make_spec, minus_q, omega_set, skew_partner,
-                           t_minus_q)
+from eaqmds.cosets import (DefiningSet, all_cosets, coset, cosets_meeting, is_skew_symmetric,
+                           make_spec, minus_q, omega_set, skew_partner, t_minus_q)
 from oracles import orbits_by_iteration
 
 # Specs with rn <= 1000 used by the exhaustive property suites: the small
@@ -77,18 +76,18 @@ def test_omega_distinct():
 # ---------------------------------------------------------------------------
 
 def test_coset_singleton_at_half_length():
-    assert coset(make_spec(5, 2, 26), 13).elements == (13,)
+    assert coset(make_spec(5, 2, 26), 13) == (13,)
 
 
 def test_coset_pair_structure():
     c = coset(make_spec(5, 2, 26), 15)
-    assert c.elements == (11, 15) and c.leader == 11
+    assert c == (11, 15) and c[0] == 11
 
 
 def test_coset_all_singletons_when_q2_is_one():
     spec = make_spec(5, 3, 8)
     assert spec.q**2 % spec.rn == 1
-    assert all(len(coset(spec, s).elements) == 1 for s in omega_set(spec))
+    assert all(len(coset(spec, s)) == 1 for s in omega_set(spec))
 
 
 def test_coset_rejects_outside_omega():
@@ -109,7 +108,7 @@ def test_coset_is_the_orbit_by_repeated_multiplication():
     for spec in specs():
         for s in omega_set(spec):
             (orbit,) = orbits_by_iteration(spec, [s])
-            assert coset(spec, s) == CyclotomicCoset(spec, orbit[0], orbit)
+            assert coset(spec, s) == orbit
 
 
 def test_with_coset_rejects_outside_omega_as_coset_does():
@@ -128,11 +127,11 @@ def test_cosets_partition_omega():
         cosets = all_cosets(spec)
         union: list[int] = []
         for c in cosets:
-            assert c.leader == min(c.elements)
-            assert spec.m % len(c.elements) == 0
+            assert c[0] == min(c)
+            assert spec.m % len(c) == 0
             qq = spec.q**2 % spec.rn
-            assert {e * qq % spec.rn for e in c.elements} == set(c.elements)
-            union.extend(c.elements)
+            assert {e * qq % spec.rn for e in c} == set(c)
+            union.extend(c)
         assert sorted(union) == sorted(omega_set(spec))
 
 
@@ -141,18 +140,18 @@ def test_cosets_partition_omega():
 # ---------------------------------------------------------------------------
 
 def test_skew_symmetric_examples():
-    assert is_skew_symmetric(coset(make_spec(13, 2, 17), 17))
-    assert not is_skew_symmetric(coset(make_spec(5, 2, 26), 13))
-    assert is_skew_symmetric(coset(make_spec(5, 3, 8), 4))
+    for spec, s, expected in ((make_spec(13, 2, 17), 17, True),
+                              (make_spec(5, 2, 26), 13, False), (make_spec(5, 3, 8), 4, True)):
+        assert is_skew_symmetric(spec, coset(spec, s)) is expected
 
 
 def test_skew_pair_examples():
     s5 = make_spec(5, 2, 26)
-    assert skew_partner(coset(s5, 19)).elements == coset(s5, 9).elements
+    assert skew_partner(s5, coset(s5, 19)) == coset(s5, 9)
     s7 = make_spec(7, 8, 50)
-    assert coset(s7, 49).elements == (1, 49)
-    assert skew_partner(coset(s7, 57)).elements == coset(s7, 49).elements
-    assert skew_partner(coset(s5, 13)).elements != coset(s5, 15).elements
+    assert coset(s7, 49) == (1, 49)
+    assert skew_partner(s7, coset(s7, 57)) == coset(s7, 49)
+    assert skew_partner(s5, coset(s5, 13)) != coset(s5, 15)
 
 
 def test_skew_trichotomy_partner_is_involution():
@@ -160,15 +159,15 @@ def test_skew_trichotomy_partner_is_involution():
     # partner map is an involution on the partition
     for spec in specs():
         for c in all_cosets(spec):
-            partner = skew_partner(c)
-            assert skew_partner(partner).elements == c.elements
-            if is_skew_symmetric(c):
-                assert partner.elements == c.elements
+            partner = skew_partner(spec, c)
+            assert skew_partner(spec, partner) == c
+            if is_skew_symmetric(spec, c):
+                assert partner == c
             else:
                 # two distinct cosets, each holding the other's -q image
-                assert partner.elements != c.elements
-                assert minus_q(spec, c.leader) in partner.elements
-                assert minus_q(spec, partner.leader) in c.elements
+                assert partner != c
+                assert minus_q(spec, c[0]) in partner
+                assert minus_q(spec, partner[0]) in c
 
 
 def test_skew_pair_condition_is_membership_for_any_element():
@@ -177,10 +176,10 @@ def test_skew_pair_condition_is_membership_for_any_element():
         cosets = all_cosets(spec)
         for c in cosets[:6]:
             for other in cosets[:6]:
-                if other.elements == c.elements:
+                if other == c:
                     continue
-                expected = any(minus_q(spec, s) in other.elements for s in c.elements)
-                assert (minus_q(spec, c.leader) in other.elements) == expected
+                expected = any(minus_q(spec, s) in other for s in c)
+                assert (minus_q(spec, c[0]) in other) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def test_dual_containing_examples():
 
 def _sampled_defining_sets(spec, rng):
     cosets = all_cosets(spec)
-    leaders = [c.leader for c in cosets]
+    leaders = [c[0] for c in cosets]
     sets = [DefiningSet.from_leaders(spec, [l]) for l in leaders]
     if len(leaders) >= 2:
         for _ in range(min(30, len(leaders) * 2)):
@@ -245,8 +244,8 @@ def test_decompose_matches_cosetwise_characterization():
             expected: set[int] = set()
             for leader in t.leaders:
                 c = coset(spec, leader)
-                if is_skew_symmetric(c) or set(skew_partner(c).elements) <= t.elements:
-                    expected.update(c.elements)
+                if is_skew_symmetric(spec, c) or set(skew_partner(spec, c)) <= t.elements:
+                    expected.update(c)
             assert t.t_ss == frozenset(expected)
             assert t.t_sas == t.elements - t.t_ss
 
@@ -258,7 +257,7 @@ def test_decomposition_parts_are_unions_of_cosets():
             for part in (t.t_ss, t.t_sas):
                 covered: set[int] = set()
                 for s in part:
-                    covered.update(coset(spec, s).elements)
+                    covered.update(coset(spec, s))
                 assert covered == set(part)
 
 
@@ -278,7 +277,7 @@ def test_sas_part_defines_dual_containing_set():
 @st.composite
 def spec_and_leaders(draw):
     spec = make_spec(*draw(st.sampled_from(SMALL_SPECS)))
-    leaders = [c.leader for c in all_cosets(spec)]
+    leaders = [c[0] for c in all_cosets(spec)]
     picked = draw(st.sets(st.sampled_from(leaders), max_size=8))
     return spec, sorted(picked)
 
@@ -317,7 +316,7 @@ def test_from_leaders_walks_each_coset_once(monkeypatch):
     with pytest.raises(ValueError, match=r"^12 is not in Omega"):
         DefiningSet.from_leaders(spec, [7, 12])
     monkeypatch.undo()
-    union = [e for s in (7, 9, 11, 13) for e in coset(spec, s).elements]
+    union = [e for s in (7, 9, 11, 13) for e in coset(spec, s)]
     assert t == DefiningSet.from_elements(spec, union)
 
 
@@ -348,9 +347,9 @@ def test_unclosed_canary_set_derives_leaders_and_t_sas():
 @st.composite
 def spec_and_classes(draw):
     spec = make_spec(*draw(st.sampled_from(SMALL_SPECS + [(3, 4, 2003)])))
-    leaders = draw(st.sets(st.sampled_from([c.leader for c in all_cosets(spec)]), max_size=6))
+    leaders = draw(st.sets(st.sampled_from([c[0] for c in all_cosets(spec)]), max_size=6))
     toggled = draw(st.sets(st.sampled_from(omega_set(spec)), max_size=4))
-    closed = {e for s in leaders for e in coset(spec, s).elements}
+    closed = {e for s in leaders for e in coset(spec, s)}
     return spec, closed ^ toggled
 
 
@@ -358,7 +357,7 @@ def spec_and_classes(draw):
 def test_the_orbit_walk_matches_repeated_multiplication(data):
     spec, classes = data
     orbits = orbits_by_iteration(spec, classes)
-    assert [c.elements for c in cosets_meeting(spec, classes)] == orbits
+    assert cosets_meeting(spec, classes) == orbits
     if {e for orbit in orbits for e in orbit} == classes:
         t = DefiningSet.from_elements(spec, classes)
     else:

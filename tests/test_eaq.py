@@ -65,10 +65,10 @@ def _draw_defining_set(spec, data):
     count = data.draw(st.integers(min_value=1, max_value=len(order)))
     chosen: set[int] = set()
     for c in order[:count]:
-        partner = {minus_q(spec, x) for x in c.elements}
-        if kind == "c=0" and partner & (chosen | set(c.elements)):
+        partner = {minus_q(spec, x) for x in c}
+        if kind == "c=0" and partner & (chosen | set(c)):
             continue
-        grown = chosen | set(c.elements) | (partner if kind == "c=|T|" else set())
+        grown = chosen | set(c) | (partner if kind == "c=|T|" else set())
         if len(grown) < spec.n:
             chosen = grown
     assume(chosen)

@@ -775,7 +775,7 @@ def _code_generator(field, data, rows, cols):
     """The banded generator matrix of a random code over field, of
     dimension at least 1; the drawn shape is not used."""
     spec = make_spec(*NULLSPACE_SPECS[field.order])
-    leaders = [c.leader for c in all_cosets(spec)]
+    leaders = [c[0] for c in all_cosets(spec)]
     pick = data.draw(st.lists(st.sampled_from(leaders), min_size=1,
                               max_size=len(leaders) - 1, unique=True))
     code = build_code(spec, DefiningSet.from_leaders(spec, pick))
