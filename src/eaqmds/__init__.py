@@ -6,13 +6,12 @@ from .catalog import (CatalogRow, RunConfig, generate_catalog, rows_for_combo,
                       serialize_csv, serialize_json)
 from .codes import (CoefficientDescentError, ConstacyclicCode,
                     DistanceBudgetExceeded, InconsistentRootSystemError,
-                    bch_delta, build_code, build_tower, classical_mds_verdict,
-                    exact_distance_small)
+                    VerificationError, bch_delta, build_code, build_tower,
+                    classical_mds_verdict, exact_distance_small)
 from .cosets import (CodeSpec, DefiningSet, all_cosets, coset, is_skew_symmetric,
                      make_spec, omega_set, skew_partner, t_minus_q)
-from .eaq import EaqParams, EbitOracleMismatch, derive_eaq, ebits_rank_oracle
-from .families import (Construction, FamilyError, FamilyId, VerificationError,
-                       construction, instance_params)
+from .eaq import EaqParams, derive_eaq, ebits_rank_oracle
+from .families import Construction, FamilyError, FamilyId, construction, instance_params
 from .fields import Embedding, Field, Matrix, Poly, extend, make_field
 from .verify import VerifyReport, run_verification
 
@@ -22,13 +21,12 @@ __all__ = [
     "CatalogRow", "RunConfig", "generate_catalog", "rows_for_combo",
     "serialize_csv", "serialize_json",
     "CoefficientDescentError", "ConstacyclicCode", "DistanceBudgetExceeded",
-    "InconsistentRootSystemError", "bch_delta", "build_code", "build_tower",
-    "classical_mds_verdict", "exact_distance_small",
+    "InconsistentRootSystemError", "VerificationError", "bch_delta", "build_code",
+    "build_tower", "classical_mds_verdict", "exact_distance_small",
     "CodeSpec", "DefiningSet", "all_cosets", "coset", "is_skew_symmetric",
     "make_spec", "omega_set", "skew_partner", "t_minus_q",
-    "EaqParams", "EbitOracleMismatch", "derive_eaq", "ebits_rank_oracle",
-    "Construction", "FamilyError", "FamilyId", "VerificationError",
-    "construction", "instance_params",
+    "EaqParams", "derive_eaq", "ebits_rank_oracle",
+    "Construction", "FamilyError", "FamilyId", "construction", "instance_params",
     "Embedding", "Field", "Matrix", "Poly", "extend", "make_field",
     "VerifyReport", "run_verification",
     "__version__",

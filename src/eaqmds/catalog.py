@@ -18,8 +18,8 @@ import json
 from dataclasses import dataclass
 from functools import partial
 
-from .codes import DEFAULT_DISTANCE_BUDGET
-from .eaq import VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK  # noqa: F401 (row schema)
+from .codes import DEFAULT_DISTANCE_BUDGET, VerificationError
+from .codes import VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK  # noqa: F401 (row schema)
 from .families import (FAMILY_ORDER, FamilyId, applicable_combos, construction,
                        fan_out, instance_params)
 from .fields import FACTOR_LIMIT, unfactorable_message
@@ -289,7 +289,7 @@ def generate_catalog(config: RunConfig) -> tuple[list[CatalogRow], list[str]]:
 
 def _check_row_consistency(row: CatalogRow) -> None:
     if row.mds and row.n + row.c - row.k != 2 * (row.d - 1):
-        raise RuntimeError(f"row {row} marked MDS but Singleton equality fails")
+        raise VerificationError(f"row {row} marked MDS but Singleton equality fails")
 
 
 def serialize_csv(rows: list[CatalogRow], notes: list[str] | None = None) -> str:

@@ -5,8 +5,9 @@ output honors --format csv|json; inspection commands print text unless
 --format json, and verify always prints text.  Settings are one namespace:
 every flag that sets a RunConfig key has that key as its dest, and a run's
 RunConfig layers the subcommand's defaults, then the --config file, then
-the flags.  Exit codes: 0 success, 1 verification failure, 2 invalid input
-or configuration.
+the flags.  Exit codes: 0 success, 1 a VerificationError (a failed or
+unfinished check) or an OSError, 2 a ValueError (invalid input or
+configuration).
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import sys
 
 from .catalog import (TABLE_ENTRIES, ConfigError, RunConfig, generate_catalog,
                       read_config_file, rows_for_combo, serialize)
-from .codes import (CoefficientDescentError, DistanceBudgetExceeded,
-                    InconsistentRootSystemError, build_code,
-                    classical_mds_verdict, exact_distance_small)
+from .codes import (VerificationError, build_code, classical_mds_verdict,
+                    exact_distance_small)
 from .cosets import (DefiningSet, all_cosets, is_skew_symmetric, make_spec,
                      skew_partner, t_minus_q)
-from .eaq import EbitOracleMismatch, derive_eaq
-from .families import FamilyId, VerificationError
+from .eaq import derive_eaq
+from .families import FamilyId
 from .verify import run_verification
 
 
@@ -230,7 +230,7 @@ def cmd_code(args, cfg: RunConfig) -> int:
         "defining_set": sorted(t.elements),
         "ebits_combinatorial": len(t.t_ss),
     }
-    lines = [f"[{code.n}, {code.dim}, >={payload['bch_delta']}] over GF({spec.q}^2)",
+    lines = [str(code),
              f"defining set: {payload['defining_set']}",
              f"gen poly coefficient codes: {payload['gen_poly_coeffs']}",
              f"|T_ss| = {len(t.t_ss)}"]
@@ -286,15 +286,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args, _merge_config(args))
-    # the two code-construction errors are ValueErrors, so they come first
-    except (CoefficientDescentError, InconsistentRootSystemError, VerificationError,
-            EbitOracleMismatch, DistanceBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:  # ConfigError, FamilyError and other bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (VerificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

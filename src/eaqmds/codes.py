@@ -34,6 +34,10 @@ reduction finds nothing to eliminate; the reduced form is unique, so H is
 entry for entry the null space of the banded matrix of the shifts of g.
 The shifts of the reversed h span the same row space as H, which
 `eaq.ebits_rank_oracle` uses instead of H itself.
+
+A failed or unfinished check raises a VerificationError.  This module, the
+lowest that raises one, defines it and the three VERIFIED_* level names it
+carries; eaq, families and catalog import them from here.
 """
 
 from __future__ import annotations
@@ -48,19 +52,39 @@ from .fields import Embedding, Field, Matrix, Poly, extend, make_field
 
 DEFAULT_DISTANCE_BUDGET = 10**6
 
+# the verification levels, weakest first, that EaqParams.verified and a
+# VerificationError carry
+VERIFIED_BCH = "bch-only"
+VERIFIED_RANK = "rank-oracle"
+VERIFIED_EXACT = "exact-distance"
 
-class CoefficientDescentError(ValueError):
+
+class VerificationError(RuntimeError):
+    """A check failed or did not finish.  The CLI exits 1 on it, and 2 on
+    a ValueError, which is bad input.
+
+    verified is the strongest verification level that had run, as
+    EaqParams.verified would have carried it.  Its default lets the error
+    unpickle from its message alone when it crosses a process pool.
+    """
+
+    def __init__(self, message: str, verified: str = VERIFIED_BCH):
+        super().__init__(message)
+        self.verified = verified
+
+
+class CoefficientDescentError(VerificationError):
     """A generator-polynomial coefficient failed to land in F_{q^2},
     which signals a defining set not closed under multiplication by q^2."""
 
 
-class InconsistentRootSystemError(ValueError):
+class InconsistentRootSystemError(VerificationError):
     """omega or eta = omega^n has the wrong multiplicative order, or x^n - eta
     was not divisible by the generator polynomial; either signals an
     omega/eta inconsistency."""
 
 
-class DistanceBudgetExceeded(RuntimeError):
+class DistanceBudgetExceeded(VerificationError):
     """The column-subset enumeration hit its evaluation budget before the
     requested weight cap was settled."""
 
@@ -150,9 +174,11 @@ class ConstacyclicCode:
         """The BCH bound of the defining set, computed on each access."""
         return bch_delta(self.defining_set)
 
+    def __str__(self) -> str:
+        return f"[{self.n}, {self.dim}, >={self.bch_delta}] over GF({self.spec.q}^2)"
+
     def __repr__(self) -> str:
-        return (f"ConstacyclicCode([{self.n}, {self.dim}, >={self.bch_delta}] "
-                f"over GF({self.spec.q}^2))")
+        return f"ConstacyclicCode({self})"
 
 
 def build_code(spec: CodeSpec, t: DefiningSet) -> ConstacyclicCode:

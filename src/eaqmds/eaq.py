@@ -2,10 +2,11 @@
 
 The ebit count is computed two independent ways: combinatorially as |T_ss|
 from the defining-set decomposition, and algebraically as rank(H H^dagger)
-of a parity-check matrix.  The two must agree; a mismatch is a hard error
-because it can only come from an implementation defect.  ebit_mismatches is
-the one place the exact oracles are compared with |T_ss|, for derive_eaq and
-families.instance_params alike; a further exact oracle is added there only.
+of a parity-check matrix.  The two must agree; a mismatch is a hard error,
+a VerificationError at level rank-oracle, because it can only come from an
+implementation defect.  ebit_mismatches is the one place the exact oracles
+are compared with |T_ss|, for derive_eaq and families.instance_params
+alike; a further exact oracle is added there only.
 
 The rank oracle takes H from the check polynomial h = (x^n - eta)/g that
 `codes.build_code` keeps.  The |T| shifts of the reversed h, h~, span the
@@ -21,18 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import ConstacyclicCode, bch_delta
+from .codes import VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK  # noqa: F401 (re-exported)
+from .codes import ConstacyclicCode, VerificationError, bch_delta
 from .cosets import DefiningSet
 from .fields import Matrix
-
-
-class EbitOracleMismatch(RuntimeError):
-    """|T_ss| and rank(H H^dagger) disagreed; both count the needed ebits."""
-
-
-VERIFIED_BCH = "bch-only"
-VERIFIED_RANK = "rank-oracle"
-VERIFIED_EXACT = "exact-distance"
 
 
 @dataclass(frozen=True)
@@ -104,5 +97,5 @@ def derive_eaq(code: ConstacyclicCode) -> EaqParams:
     """[[n, n - 2|T| + |T_ss|, d >= bch; |T_ss|]]_q with both ebit oracles run."""
     mismatches = ebit_mismatches(code)
     if mismatches:
-        raise EbitOracleMismatch(f"{code!r}: " + "; ".join(mismatches))
+        raise VerificationError(f"{code!r}: " + "; ".join(mismatches), VERIFIED_RANK)
     return EaqParams.from_defining_set(code.defining_set, VERIFIED_RANK)

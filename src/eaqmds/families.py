@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from .codes import (DEFAULT_DISTANCE_BUDGET, build_code, distance_check_feasible,
+from .codes import (DEFAULT_DISTANCE_BUDGET, VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK,
+                    VerificationError, build_code, distance_check_feasible,
                     exact_distance_small)
 from .cosets import CodeSpec, DefiningSet, make_spec
-from .eaq import (VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK, EaqParams,
-                  ebit_mismatches)
+from .eaq import EaqParams, ebit_mismatches
 from .fields import factorize
 
 
@@ -60,19 +60,6 @@ FAMILY_ORDER = list(FamilyId)
 
 class FamilyError(ValueError):
     """The requested (family, q, h) combination is not applicable."""
-
-
-class VerificationError(RuntimeError):
-    """A family instance failed one of its mandatory cross-checks.
-
-    verified is the strongest verification level that had run, as
-    EaqParams.verified would have carried it.  Its default lets the error
-    unpickle from its message alone when it crosses a process pool.
-    """
-
-    def __init__(self, message: str, verified: str = VERIFIED_BCH):
-        super().__init__(message)
-        self.verified = verified
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,14 @@ For every family instance in scope this runs families.instance_params with
 the rank oracle on, which checks the predicted |T_ss| against the computed
 decomposition and against rank(H H^dagger), the EA-Singleton equality,
 which holds exactly when the defining set is a single run, and (where the
-enumeration budget allows) the exact minimum distance.  A failed instance
-becomes a FAIL line instead of stopping the run.  run_verification checks
-its level, budget and worker count by making a RunConfig of them, as the
-CLI's settings are checked.  Each construction (family, q, h) is one
-fan_out task, whose T_k chain _combo_reports sweeps once, one index
-past its proved range; the same sweep's |T_ss| counts give the note on
-where the published range statement and the computed |T_ss| disagree.
+enumeration budget allows) the exact minimum distance.  An instance whose
+checks raise a VerificationError, a failed build included, becomes a FAIL
+line instead of stopping the run.  run_verification checks its level,
+budget and worker count by making a RunConfig of them, as the CLI's
+settings are checked.  Each construction (family, q, h) is one fan_out
+task, whose T_k chain _combo_reports sweeps once, one index past its
+proved range; the same sweep's |T_ss| counts give the note on where the
+published range statement and the computed |T_ss| disagree.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .catalog import ConfigError, RunConfig, check_q_limit
-from .codes import DEFAULT_DISTANCE_BUDGET, CoefficientDescentError, build_code
+from .codes import DEFAULT_DISTANCE_BUDGET, CoefficientDescentError, VerificationError, build_code
 from .cosets import DefiningSet, make_spec
-from .families import (FamilyId, VerificationError, applicable_combos, construction,
-                       fan_out, instance_params, odd_prime_powers)
+from .families import (FamilyId, applicable_combos, construction, fan_out, instance_params,
+                       odd_prime_powers)
 
 
 @dataclass

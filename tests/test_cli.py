@@ -2,12 +2,14 @@ import hashlib
 import json
 import resource
 import subprocess
+import sys
 
 import pytest
 
-from eaqmds import cli, codes, verify
+from eaqmds import cli, codes, families, verify
+from eaqmds.catalog import CatalogRow
 from eaqmds.cli import main
-from eaqmds.codes import exact_distance_small
+from eaqmds.codes import CoefficientDescentError, exact_distance_small
 from eaqmds.cosets import all_cosets, make_spec
 from pins import run
 
@@ -232,6 +234,35 @@ def test_verify_fails_when_the_descent_canary_is_accepted(monkeypatch, capsys):
     assert lines[-1].endswith(" ok, 1 failed")
 
 
+def test_verify_reports_a_failed_build_as_fail_lines(monkeypatch, capsys):
+    # a build that raises a check failure on the q=5 negacyclic instances with
+    # |T| > 4 (k = 2..6) costs those instances a FAIL line each, not the report
+    argv = ("verify", "--q-max", "7", "--no-exact-distance")
+    _, clean, _ = run_cli(capsys, *argv)
+    build_code = families.build_code
+
+    def failing_build(spec, t):
+        if (spec.q, spec.r) == (5, 2) and len(t.elements) > 4:
+            raise CoefficientDescentError("injected descent failure")
+        return build_code(spec, t)
+
+    monkeypatch.setattr(families, "build_code", failing_build)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    lines, clean_lines = out.splitlines(), clean.splitlines()
+    assert len(lines) == len(clean_lines) == 26
+    labels = [f"Q2P1_NEGA q=5 k={k}" for k in range(2, 7)]
+    assert [line for line in lines if line.startswith("[FAIL]")] == \
+           [f"[FAIL] {label} -> - (bch-only) :: injected descent failure" for label in labels]
+    # every other instance line, the descent canary and the notes are those of
+    # the clean run; only the summary counts the failures
+    assert [line for line in lines[:-1] if not line.startswith("[FAIL]")] == \
+           [line for line in clean_lines[:-1] if line.split(" -> ")[0][5:] not in labels]
+    assert ("[ok] descent-canary q=5 (drop one coset element) -> rejected as expected "
+            "(negative-control)") in lines
+    assert lines[-1] == "summary: 22 instances, 17 ok, 5 failed"
+
+
 # gen_poly_coeffs is the one output that shows the subfield descent map;
 # digests taken before descent became a table lookup
 @pytest.mark.parametrize("spec,digest", [
@@ -403,6 +434,32 @@ def test_catalog_bad_config_exit_2(tmp_path, capsys):
 def test_catalog_bad_table_exit_2(capsys):
     code, _, err = run_cli(capsys, "catalog", "--tables", "3")
     assert code == 2 and "unknown tables" in err
+
+
+def test_catalog_malformed_table_list_exit_2(capsys):
+    assert run_cli(capsys, "catalog", "--tables", "1,x") == \
+           (2, "", "error: bad table list '1,x'\n")
+
+
+def test_catalog_row_that_breaks_singleton_exit_1(monkeypatch, capsys):
+    # serialization re-checks every MDS row; a row that fails is a failed
+    # check, so one error line and exit 1, not a traceback
+    bogus = CatalogRow(family="TENTH_3", q=13, h=None, n=17, k=10, d=2, c=1,
+                       mds=True, verified="bch-only")
+    monkeypatch.setattr(cli, "generate_catalog", lambda cfg: ([bogus], []))
+    code, out, err = run_cli(capsys, "catalog", "--tables", "4")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: row {bogus} marked MDS but Singleton equality fails"]
+
+
+def test_broken_stdout_exit_1(monkeypatch, capsys):
+    class BrokenPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    code = main(["cosets", "5", "3", "8"])
+    assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 def test_catalog_json_has_no_comment_rows(capsys):

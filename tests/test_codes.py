@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from eaqmds import codes, fields
 from eaqmds.codes import (CoefficientDescentError, DistanceBudgetExceeded,
-                          InconsistentRootSystemError, bch_delta, build_code, build_tower,
-                          classical_mds_verdict, exact_distance_small)
+                          InconsistentRootSystemError, VerificationError, bch_delta,
+                          build_code, build_tower, classical_mds_verdict,
+                          exact_distance_small)
 from eaqmds.cosets import DefiningSet, all_cosets, coset, make_spec, omega_set
 from eaqmds.families import (FamilyId, applicable_combos, construction, family_spec,
                              odd_prime_powers)
@@ -156,6 +157,14 @@ def test_matrices_orthogonal_and_full_rank():
     assert oracles.times_transpose_is_zero(g.field, g.entries, h.entries)
     assert g.rank() == code.dim
     assert h.rank() == code.n - code.dim
+
+
+@pytest.mark.parametrize("error", [CoefficientDescentError, InconsistentRootSystemError,
+                                   DistanceBudgetExceeded])
+def test_check_failures_are_verification_errors_not_bad_input(error):
+    # the CLI picks the exit code by type alone: 1 for a VerificationError,
+    # 2 for a ValueError, so a failed check must not be both
+    assert issubclass(error, VerificationError) and not issubclass(error, ValueError)
 
 
 def test_corrupted_defining_set_fails_descent():

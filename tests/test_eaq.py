@@ -2,9 +2,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from eaqmds.cli import main
-from eaqmds.codes import build_code, build_tower
+from eaqmds.codes import VerificationError, build_code, build_tower
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec, minus_q
-from eaqmds.eaq import EaqParams, EbitOracleMismatch, derive_eaq, ebits_rank_oracle
+from eaqmds.eaq import EaqParams, derive_eaq, ebits_rank_oracle
 from eaqmds.families import FamilyId, construction, instance_params
 
 import eaqmds.eaq as eaq_module
@@ -152,9 +152,9 @@ def test_oracle_disagreement_is_hard_error(monkeypatch, capsys):
     _, _, code = _setup(5, 3, 8, elements=[1, 4, 7])
     monkeypatch.setattr(eaq_module, "ebits_rank_oracle", lambda code: 99)
     text = "ConstacyclicCode([8, 5, >=4] over GF(5^2)): rank oracle 99 != |T_ss| 1"
-    with pytest.raises(EbitOracleMismatch) as err:
+    with pytest.raises(VerificationError) as err:
         derive_eaq(code)
-    assert str(err.value) == text
+    assert str(err.value) == text and err.value.verified == "rank-oracle"
     # the CLI prints the same text as one line and exits 1
     assert main(["code", "5", "3", "8", "--elements", "1,4,7", "--rank-oracle"]) == 1
     captured = capsys.readouterr()

@@ -403,6 +403,11 @@ def test_extend_prime_field_embeds_constants():
     assert [emb(a) for a in range(5)] == [0, 1, 2, 3, 4]
 
 
+def test_extend_rejects_degree_0():
+    with pytest.raises(ValueError, match="extension degree must be >= 1, got 0"):
+        extend(make_field(5, 2), 0)
+
+
 def test_extend_is_ring_homomorphism_on_random_pairs():
     top, emb = extend(F25, 2)
     assert top.order == 625
