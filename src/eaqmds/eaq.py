@@ -14,8 +14,11 @@ kernel of the generator matrix, so their Gram matrix H H^dagger is Hermitian
 Toeplitz: entry (i, j) is the lag a(j - i) = sum_u h~_{u+j-i} conj(h~_u),
 and a(-d) = conj(a(d)).  Any other parity-check matrix is A H with A
 invertible, and rank(A M A^dagger) = rank(M), so the count does not depend
-on the basis.  It costs |T| dot products of length at most k + 1 and one
-|T| x |T| rank, and it shares nothing with the |T_ss| set arithmetic.
+on the basis.  The lags a(0..|T|-1) are coefficients k..k+|T|-1 of the
+one product h~ * rev(conj h~) of two polynomials of k + 1 terms, which
+`packing.packed_product` takes as one big-integer product; with one
+|T| x |T| rank that is the whole cost, and it shares nothing with the
+|T_ss| set arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .codes import VERIFIED_BCH, VERIFIED_EXACT, VERIFIED_RANK  # noqa: F401 (re
 from .codes import ConstacyclicCode, VerificationError, bch_delta
 from .cosets import DefiningSet
 from .fields import Matrix
+from .packing import packed_product
 
 
 @dataclass(frozen=True)
@@ -71,15 +75,15 @@ def ebits_rank_oracle(code: ConstacyclicCode) -> int:
 
     H is the banded matrix whose |T| rows are the shifts of the reversed
     check polynomial h~, so H H^dagger is the Hermitian Toeplitz matrix of
-    the lags a(d) = sum_u h~_{u+d} conj(h~_u) (module docstring).  It has
-    the rank of N N^dagger for every other basis N of the same row space.
+    the lags a(d) = sum_u h~_{u+d} conj(h~_u) (module docstring).  With
+    k = deg h, a(d) is coefficient k + d of h~ * rev(conj h~), so all |T|
+    lags come from one `packed_product`.  The matrix has the rank of
+    N N^dagger for every other basis N of the same row space.
     """
-    f = code.check_poly.field
-    h = code.check_poly.coeffs[::-1]
-    h_conj = [f.conj(x) for x in h]
-    size = code.n - code.dim
-    upper = [f.dot(h[d:], h_conj) for d in range(min(size, len(h)))]
-    upper += [0] * (size - len(upper))
+    f, h = code.check_poly.field, code.check_poly.coeffs
+    size, k = code.n - code.dim, len(h) - 1
+    # h~ is h reversed, so rev(conj h~) is conj h, coefficient by coefficient
+    upper = packed_product(f, h[::-1], [f.conj(x) for x in h], k, k + size)
     lower = [f.conj(a) for a in upper]
     # row i is conj(a(i)), ..., conj(a(1)), a(0), ..., a(size - 1 - i)
     gram = [lower[i:0:-1] + upper[:size - i] for i in range(size)]

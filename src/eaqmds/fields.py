@@ -34,21 +34,24 @@ builds full add/mul tables the first time a kernel or a matrix operation
 needs them, from discrete logarithms to its canonical primitive element
 (see `Field._ensure_tables`), so that a kernel costs one or two list
 lookups per entry.  Larger fields run the same kernels on the per-element
-methods: `add` and `neg` work digit by digit, and `mul` is one integer
+methods: `add` and `neg` work digit by digit, `mul` is one integer
 product of the two operands packed with their base-p digits spaced apart
-(Kronecker substitution, see `_packing`), folded back by the modulus.
+(Kronecker substitution, see `packing`), folded back by the modulus, and
+`conj` is a linear map on the digits.  `packing.packed_product` multiplies
+whole polynomials over a field the same way, for the rank oracle's lags.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Sequence
+
+from .packing import _packing
 
 FACTOR_LIMIT = 2**32
 _TABLE_MAX_ORDER = 1024
-_PACK_TABLE_MAX = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -131,6 +134,8 @@ class Field:
                         [(s, sum(c << t for c, t in zip(row, lanes)))
                          for s, row in zip(lanes[degree:], red)],
                         lanes[degree - 1::-1], p)
+        self._reduced = red
+        self._frobenius: list[tuple[int, ...]] | None = None
         self._mul_table: list[int] | None = None
         self._add_table: list[int] | None = None
         self._neg_table: list[int] | None = None
@@ -195,7 +200,7 @@ class Field:
             return self._mul_table[a * self.order + b]
         if not a or not b:
             return 0
-        # one integer product of the packed operands (see `_packing`)
+        # one integer product of the packed operands (see `packing._packing`)
         table, chunk_order, shifts, mask, low_mask, folds, reads, p = self._packed
         pa, pb = table[a % chunk_order], table[b % chunk_order]
         for s in shifts:
@@ -241,10 +246,21 @@ class Field:
         return self.p ** (self.degree // 2)
 
     def conj(self, a: int) -> int:
-        """x -> x^q for the field of order q^2; errors on odd-degree fields."""
+        """x -> x^q for the field of order q^2; errors on odd-degree fields.
+
+        Above the table cap it is a linear map on the digits: x -> x^q fixes
+        F_p and is additive, so a = sum c_j x^j maps to sum c_j (x^j)^q, and
+        only the degree images (x^j)^q take a field power, once per field.
+        """
         if self._conj_table is not None:  # built only for even degree
             return self._conj_table[a]
-        return self.pow(a, self.q_level)
+        if self._frobenius is None:
+            q = self.q_level
+            # column i holds digit i of (x^j)^q for j = 0..degree-1
+            self._frobenius = list(zip(*[self.decode(self.pow(self.p**j, q))
+                                         for j in range(self.degree)]))
+        digits = self.decode(a)
+        return self.encode([sum(map(mul, digits, column)) for column in self._frobenius])
 
     # -- multiplicative structure -----------------------------------------
 
@@ -420,38 +436,6 @@ class Field:
         if self.degree % 2 == 0:
             q = self.q_level
             self._conj_table = [0] + [exp[log[a] * q % (n - 1)] for a in range(1, n)]
-
-
-@lru_cache(maxsize=None)
-def _packing(p: int, degree: int) -> tuple[int, int, Sequence[int]]:
-    """(width, chunk, table) of the packed product in every ring F_p[x]/(f) of this degree.
-
-    A polynomial of degree < `degree` packs into one integer with coefficient
-    i at bit width*i (Kronecker substitution), so the product of two packed
-    operands carries coefficient k of the product polynomial at bit width*k.
-    That coefficient is at most degree*(p-1)^2; folding the degree - 1 high
-    coefficients, each taken mod p, onto the low ones through the reduced
-    powers of x adds at most (degree-1)*(p-1)^2 more.  The width keeps
-    (2*degree-1)*(p-1)^2 below 2^width, so no coefficient ever carries into
-    the next.
-
-    An operand packs a chunk of base-p digits at a time: table[c] is the
-    packed form of every code c < p^chunk.  A chunk is half the digits,
-    rounded up, or fewer where that table would pass _PACK_TABLE_MAX entries.
-    One digit packs as itself, so a one-digit chunk past that size is
-    range(p), which holds no entries.  The table is shared by the field and
-    by every candidate ring of its modulus search.
-    """
-    width = ((2 * degree - 1) * (p - 1) ** 2).bit_length()
-    chunk = (degree + 1) // 2
-    while chunk > 1 and p**chunk > _PACK_TABLE_MAX:
-        chunk -= 1
-    if p**chunk > _PACK_TABLE_MAX:
-        return width, chunk, range(p)
-    table = [0]
-    for i in range(chunk):  # codes below p^(i+1) from those below p^i
-        table = [t | d << width * i for d in range(p) for t in table]
-    return width, chunk, table
 
 
 def _is_irreducible(p: int, f: tuple[int, ...]) -> bool:
@@ -702,14 +686,15 @@ class Matrix:
         Rows are filed under the column of their first nonzero, and the
         forward pass takes the columns in ascending order: the first row
         filed under c is scaled to lead with 1 and clears column c of the
-        others, which are filed again.  The back pass takes the pivot rows
-        bottom up and clears a row's nonzeros at later pivot columns, found
-        by one scan, with those columns' rows, already reduced: each is 0
-        at every other pivot column, so a clear changes no entry the scan
-        found.  A reduced matrix makes no row update, and one with no free
-        column before its last pivot, such as the generator matrix of
-        `codes.build_code`, costs a scan of each row and no copy.  The
-        reduced form is unique, so this equals Gauss-Jordan elimination.
+        others, which are filed again, or dropped uncopied when left zero.
+        The back pass takes the pivot rows bottom up and clears a row's
+        nonzeros at later pivot columns, found by one scan, with those
+        columns' rows, already reduced: each is 0 at every other pivot
+        column, so a clear changes no entry the scan found.  A reduced
+        matrix makes no row update, and one with no free column before its
+        last pivot, such as the generator matrix of `codes.build_code`,
+        costs a scan of each row and no copy.  The reduced form is unique,
+        so this equals Gauss-Jordan elimination.
         """
         f = self.field
         f._ensure_tables()
@@ -717,7 +702,7 @@ class Matrix:
 
         waiting: dict[int, list[Sequence[int]]] = {}  # rows by their first nonzero column
         for row in self.entries:
-            s = next(compress(count(), row), None)
+            s = 0 if row and row[0] else next(compress(count(), row), None)
             if s is not None:
                 waiting.setdefault(s, []).append(row)
         rows: list[Sequence[int]] = []
@@ -728,12 +713,13 @@ class Matrix:
             pivot, *rest = waiting.pop(c)
             if pivot[c] != 1:
                 pivot = [0] * c + scale(inv(pivot[c]), pivot[c:])
-            tail = pivot[c + 1:]
+            if rest:
+                tail = pivot[c + 1:]
             for row in rest:  # zero before column c as well, being filed under c
-                row = [0] * (c + 1) + sub_scaled(row[c + 1:], row[c], tail)
-                s = next(compress(count(c + 1), islice(row, c + 1, None)), None)
+                part = sub_scaled(row[c + 1:], row[c], tail)
+                s = c + 1 if part and part[0] else next(compress(count(c + 1), part), None)
                 if s is not None:
-                    waiting.setdefault(s, []).append(row)
+                    waiting.setdefault(s, []).append([0] * (c + 1) + part)
             rows.append(pivot)
             pivots.append(c)
 

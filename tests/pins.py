@@ -1,6 +1,7 @@
 """Pinned CLI output: the commands whose stdout bytes must never change.
 
-    python tests/pins.py
+    python tests/pins.py          # the main table, PINS
+    python tests/pins.py scale    # SCALE_PINS: every construction up to q = 53
 
 Each row of PINS runs `python -m eaqmds.cli ARGV` from this checkout's src/
 (or, table-free, the same CLI with the field lookup-table cap patched to 0)
@@ -10,8 +11,9 @@ stdout is the pinned digest, and its newline count is the pinned one where a
 count is given.  Every pin runs, also after a failure; the script prints one
 line per pin and a total, and exits 1 if any pin failed.
 
-Stdlib only, and not a pytest module: the table runs for over a minute, so
-it is run on its own; tests/test_pins.py checks the runner on cheap commands.
+Stdlib only, and not a pytest module: the main table runs for over a
+minute and the scale table for minutes, so each is run on its own;
+tests/test_pins.py checks the runner on cheap commands.
 The tests that must run the CLI in a child process, with a timeout or an
 address-space cap, use the same runner, run().
 """
@@ -143,6 +145,18 @@ PINS = [
         "05ee4d5f826e3a4d8f4b3b5f26c4121dfcce173df52fcb7fb7daa0f43b7f4b21", 12029, 60),
 ]
 
+# the north star's scale: every construction up to q = 53 at rank-oracle
+# level, 1,150 rows (QMDS datapoints included) up to n = 2810 (Q2P1_NEGA
+# q=53, in no published table).  The bytes are those of the bch-only run with
+# the level renamed, so the pin checks that every row passes the ebit
+# oracles; it runs for minutes, too long for the main table
+SCALE_PINS = [
+    Pin(("catalog", "--q-range", "3:53", "--rank-oracle"), False,
+        "6d704d32fb5a9d7599c99f0e7183daaad13a0ededbf0846a26b3911a4e9411c3", 1152, 1200),
+]
+
+TABLES = {"main": PINS, "scale": SCALE_PINS}
+
 
 def run(argv: Sequence[str], timeout: float, *, table_free: bool = False,
         preexec_fn: Callable[[], object] | None = None) -> subprocess.CompletedProcess:
@@ -189,10 +203,14 @@ def check(pin: Pin) -> Outcome:
     return Outcome("; ".join(problems) or None, seconds, digest)
 
 
-def main() -> int:
+def main(argv: Sequence[str]) -> int:
+    if len(argv) > 1 or (argv and argv[0] not in TABLES):
+        print(f"usage: python tests/pins.py [{'|'.join(TABLES)}]", file=sys.stderr)
+        return 2
+    pins = TABLES[argv[0] if argv else "main"]
     failed = 0
     t0 = time.perf_counter()
-    for pin in PINS:
+    for pin in pins:
         outcome = check(pin)
         failed += outcome.problem is not None
         verdict = "ok" if outcome.problem is None else "FAIL"
@@ -201,10 +219,10 @@ def main() -> int:
               flush=True)
         if outcome.problem is not None:
             print(f"     {outcome.problem}", flush=True)
-    print(f"{len(PINS) - failed} of {len(PINS)} pins ok, {failed} failed, "
+    print(f"{len(pins) - failed} of {len(pins)} pins ok, {failed} failed, "
           f"in {time.perf_counter() - t0:.1f} s")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

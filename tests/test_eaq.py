@@ -6,6 +6,7 @@ from eaqmds.codes import VerificationError, build_code, build_tower
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec, minus_q
 from eaqmds.eaq import EaqParams, derive_eaq, ebits_rank_oracle
 from eaqmds.families import FamilyId, construction, instance_params
+from eaqmds.fields import Field
 
 import eaqmds.eaq as eaq_module
 
@@ -50,6 +51,18 @@ def test_rank_oracle_zero_iff_dual_containing():
     assert not t.t_ss
     assert oracles.times_transpose_is_zero(f, h, [[f.conj(x) for x in row] for row in h])
     assert ebits_rank_oracle(code) == 0
+
+
+def test_rank_oracle_reads_the_lags_from_one_packed_product(monkeypatch):
+    # no lag is a dot product: Field.dot is never called, on either side of the cap
+    def no_dot(*args):
+        raise AssertionError("Field.dot called")
+    monkeypatch.setattr(Field, "dot", no_dot)
+    _, t, code = _setup(5, 2, 26, leaders=[13, 15, 17, 19])
+    assert ebits_rank_oracle(code) == 4 == len(t.t_ss)
+    _, t, code = _setup(37, 2, 12, leaders=[1, 3, 5, 7])
+    assert code.check_poly.field.order > 1024
+    assert ebits_rank_oracle(code) == 2 == len(t.t_ss)
 
 
 # one spec per field: F_9, F_25, F_49, and F_{37^2} above the table cap

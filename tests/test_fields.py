@@ -1,5 +1,6 @@
 import itertools
 import random
+from itertools import count
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,9 +10,9 @@ from eaqmds.catalog import TABLE_ENTRIES, TABLE_FAMILY, table1_family
 from eaqmds.codes import build_code
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec
 from eaqmds.families import family_spec
-from eaqmds.fields import (_PACK_TABLE_MAX, _TABLE_MAX_ORDER, Field, Matrix, Poly,
-                           _is_irreducible, _packing, extend, factorize, is_prime,
-                           make_field, prime_power_split)
+from eaqmds.fields import (_TABLE_MAX_ORDER, Field, Matrix, Poly, _is_irreducible, extend,
+                           factorize, is_prime, make_field, prime_power_split)
+from eaqmds.packing import _PACK_TABLE_MAX, _packing, packed_product
 
 import oracles
 
@@ -22,6 +23,7 @@ F9 = make_field(3, 2)
 F25 = make_field(5, 2)
 F27 = make_field(3, 3)
 F49 = make_field(7, 2)
+F81 = make_field(3, 4)
 
 SMALL_FIELDS = [F5, F7, F25, F27, F49]
 
@@ -372,6 +374,61 @@ def test_packing_shrinks_the_chunk_to_the_table_bound():
 
 
 # ---------------------------------------------------------------------------
+# packed polynomial products: the Gram lags of the rank oracle
+# ---------------------------------------------------------------------------
+
+# F_{q^2} for q = 3 and 13 and the prime powers q = 9, 25 and 27, all with
+# lookup tables; q = 37 and 49 above the table cap; and q = 81 and 257,
+# whose codes are too many to tabulate their lanes
+LAG_FIELDS = [make_field(p, d) for p, d in
+              [(3, 2), (3, 4), (5, 4), (3, 6), (13, 2), (37, 2), (7, 4), (3, 8), (257, 2)]]
+
+
+def _lags_by_dot(field, h):
+    """a(d) = sum_u h_{u+d} conj(h_u) for d = 0..len(h)-1, one dot each."""
+    h_conj = [field.conj(x) for x in h]
+    return [field.dot(h[d:], h_conj) for d in range(len(h))]
+
+
+@pytest.mark.parametrize("field", LAG_FIELDS, ids=repr)
+@given(data=st.data())
+def test_packed_product_equals_schoolbook_and_dot_lags(field, data):
+    # the all-(p-1)-digit code fills the lanes most, so it is drawn often
+    code = st.one_of(st.just(field.order - 1), codes_of(field))
+    xs = data.draw(st.lists(code, max_size=20))
+    ys = data.draw(st.lists(code, max_size=20))
+    start, stop = data.draw(st.integers(0, 45)), data.draw(st.integers(0, 45))
+    full = oracles.poly_product(field, xs, ys) if xs and ys else []
+    assert packed_product(field, xs, ys, start, stop) == (full + [0] * 45)[start:stop]
+    # the lags are coefficients k..2k of h * rev(conj h), k = len(h) - 1
+    if xs:
+        k = len(xs) - 1
+        rev_conj = [field.conj(x) for x in reversed(xs)]
+        assert packed_product(field, xs, rev_conj, k, 2 * k + 1) == _lags_by_dot(field, xs)
+
+
+@pytest.mark.parametrize("field", LAG_FIELDS, ids=repr)
+def test_packed_product_at_the_lane_limit(field):
+    """With every digit p - 1 on m coefficients each, the middle lane of the
+    middle coefficient sums exactly the bound m * degree * (p-1)^2.  At the
+    first m whose bound takes one bit past a whole byte, lanes one bit short
+    of it would carry into the next lane."""
+    per_pair = field.degree * (field.p - 1) ** 2
+    m = next(m for m in count(1) if (m * per_pair).bit_length() % 8 == 1)
+    top = [field.order - 1] * m
+    assert packed_product(field, top, top, 0, 2 * m - 1) == oracles.poly_product(field, top, top)
+    rev_conj = [field.conj(x) for x in reversed(top)]
+    assert packed_product(field, top, rev_conj, m - 1, 2 * m - 1) == _lags_by_dot(field, top)
+
+
+def test_packed_product_of_nothing_is_zeros():
+    f = LAG_FIELDS[0]
+    assert packed_product(f, [], [1, 2], 0, 3) == [0, 0, 0]
+    assert packed_product(f, [1], [1], 2, 1) == []
+    assert packed_product(f, [1], [1], 1, 3) == [0, 0]
+
+
+# ---------------------------------------------------------------------------
 # conjugation
 # ---------------------------------------------------------------------------
 
@@ -380,6 +437,16 @@ def test_conj_fixed_points_and_involution():
     assert all(F25.conj(F25.conj(a)) == a for a in range(F25.order))
     assert all(F25.conj(a) == F25.pow(a, 5) for a in range(F25.order))
     assert sum(1 for a in range(F25.order) if F25.conj(a) == a) == 5
+
+
+@pytest.mark.parametrize("field", [make_field(37, 2), make_field(7, 4), Field(3, 4, F81.modulus)],
+                         ids=["GF(37^2)", "GF(7^4)", "GF(3^4) without tables"])
+def test_conj_without_tables_is_the_qth_power(field):
+    # above the cap, or with the tables never built, conj is a linear map on the digits
+    assert field.order > _TABLE_MAX_ORDER or field._mul_table is None
+    q = field.q_level
+    assert all(field.conj(a) == field.pow(a, q) for a in range(field.order))
+    assert field._conj_table is None
 
 
 def test_conj_rejected_on_odd_degree():

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from pins import PINS, Pin, check
+from pins import TABLES, Pin, check, main
 
 # catalog --tables 4 prints 42 bch-only lines in a fraction of a second
 TABLE_4 = Pin(("catalog", "--tables", "4"), False,
@@ -60,8 +60,15 @@ def test_timeout_kills_the_command():
 
 
 def test_pin_table_is_well_formed():
-    assert all(re.fullmatch(r"[0-9a-f]{64}", pin.sha256) for pin in PINS)
-    commands = [(pin.argv, pin.table_free) for pin in PINS]
+    pins = [pin for table in TABLES.values() for pin in table]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", pin.sha256) for pin in pins)
+    commands = [(pin.argv, pin.table_free) for pin in pins]
     assert len(set(commands)) == len(commands)
-    assert all(pin.timeout > 0 for pin in PINS)
-    assert all(pin.lines is None or pin.lines > 0 for pin in PINS)
+    assert all(pin.timeout > 0 for pin in pins)
+    assert all(pin.lines is None or pin.lines > 0 for pin in pins)
+
+
+@pytest.mark.parametrize("argv", [["nope"], ["main", "scale"]])
+def test_unknown_table_argument_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "usage: python tests/pins.py [main|scale]\n"
