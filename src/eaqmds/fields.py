@@ -36,7 +36,7 @@ needs them, from discrete logarithms to its canonical primitive element
 lookups per entry.  Larger fields run the same kernels on the per-element
 methods: `add` and `neg` work digit by digit, `mul` is one integer
 product of the two operands packed with their base-p digits spaced apart
-(Kronecker substitution, see `packing`), folded back by the modulus, and
+(Kronecker substitution, see `_packing`), folded back by the modulus, and
 `conj` is a linear map on the digits.  `packing.packed_product` multiplies
 whole polynomials over a field the same way, for the rank oracle's lags.
 """
@@ -48,10 +48,9 @@ from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter, mul
 from typing import Sequence
 
-from .packing import _packing
-
 FACTOR_LIMIT = 2**32
 _TABLE_MAX_ORDER = 1024
+_PACK_TABLE_MAX = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -134,7 +133,8 @@ class Field:
                         [(s, sum(c << t for c, t in zip(row, lanes)))
                          for s, row in zip(lanes[degree:], red)],
                         lanes[degree - 1::-1], p)
-        self._reduced = red
+        # the rows above, public for products reduced outside `mul` (`packing`)
+        self.reduced_powers = red
         self._frobenius: list[tuple[int, ...]] | None = None
         self._mul_table: list[int] | None = None
         self._add_table: list[int] | None = None
@@ -200,7 +200,7 @@ class Field:
             return self._mul_table[a * self.order + b]
         if not a or not b:
             return 0
-        # one integer product of the packed operands (see `packing._packing`)
+        # one integer product of the packed operands (see `_packing`)
         table, chunk_order, shifts, mask, low_mask, folds, reads, p = self._packed
         pa, pb = table[a % chunk_order], table[b % chunk_order]
         for s in shifts:
@@ -436,6 +436,38 @@ class Field:
         if self.degree % 2 == 0:
             q = self.q_level
             self._conj_table = [0] + [exp[log[a] * q % (n - 1)] for a in range(1, n)]
+
+
+@lru_cache(maxsize=None)
+def _packing(p: int, degree: int) -> tuple[int, int, Sequence[int]]:
+    """(width, chunk, table) of the packed product in every ring F_p[x]/(f) of this degree.
+
+    A polynomial of degree < `degree` packs into one integer with coefficient
+    i at bit width*i (Kronecker substitution), so the product of two packed
+    operands carries coefficient k of the product polynomial at bit width*k.
+    That coefficient is at most degree*(p-1)^2; folding the degree - 1 high
+    coefficients, each taken mod p, onto the low ones through the reduced
+    powers of x adds at most (degree-1)*(p-1)^2 more.  The width keeps
+    (2*degree-1)*(p-1)^2 below 2^width, so no coefficient ever carries into
+    the next.
+
+    An operand packs a chunk of base-p digits at a time: table[c] is the
+    packed form of every code c < p^chunk.  A chunk is half the digits,
+    rounded up, or fewer where that table would pass _PACK_TABLE_MAX entries.
+    One digit packs as itself, so a one-digit chunk past that size is
+    range(p), which holds no entries.  The table is shared by the field and
+    by every candidate ring of its modulus search.
+    """
+    width = ((2 * degree - 1) * (p - 1) ** 2).bit_length()
+    chunk = (degree + 1) // 2
+    while chunk > 1 and p**chunk > _PACK_TABLE_MAX:
+        chunk -= 1
+    if p**chunk > _PACK_TABLE_MAX:
+        return width, chunk, range(p)
+    table = [0]
+    for i in range(chunk):  # codes below p^(i+1) from those below p^i
+        table = [t | d << width * i for d in range(p) for t in table]
+    return width, chunk, table
 
 
 def _is_irreducible(p: int, f: tuple[int, ...]) -> bool:
@@ -680,7 +712,7 @@ class Matrix:
         out = [[self.field.dot(arow, bcol) for bcol in bcols] for arow in self.entries]
         return Matrix(self.field, out, cols=other.cols)
 
-    def rref(self) -> tuple[Matrix, tuple[int, ...]]:
+    def rref(self, back_pass: bool = True) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns.
 
         Rows are filed under the column of their first nonzero, and the
@@ -694,7 +726,9 @@ class Matrix:
         matrix makes no row update, and one with no free column before its
         last pivot, such as the generator matrix of `codes.build_code`,
         costs a scan of each row and no copy.  The reduced form is unique,
-        so this equals Gauss-Jordan elimination.
+        so this equals Gauss-Jordan elimination.  Without the back pass
+        the rows are in echelon form, with the same pivots: all `rank`
+        reads.
         """
         f = self.field
         f._ensure_tables()
@@ -725,7 +759,7 @@ class Matrix:
 
         end = pivots[-1] + 1 if pivots else 0
         index = {c: i for i, c in enumerate(pivots)}  # pivot column -> its row
-        for i in range(len(pivots) - 1, -1, -1):
+        for i in range(len(pivots) - 1, -1, -1) if back_pass else ():
             c, row = pivots[i], rows[i]
             if any(islice(row, c + 1, end)):  # unlike compress, makes no int per column
                 row = rows[i] = list(row)
@@ -736,7 +770,7 @@ class Matrix:
         return Matrix(f, rows, cols=self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self.rref(back_pass=False)[1])
 
     def right_nullspace(self) -> Matrix:
         """Rows form a basis of {v : self . v^T = 0}.

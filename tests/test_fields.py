@@ -10,9 +10,10 @@ from eaqmds.catalog import TABLE_ENTRIES, TABLE_FAMILY, table1_family
 from eaqmds.codes import build_code
 from eaqmds.cosets import DefiningSet, all_cosets, make_spec
 from eaqmds.families import family_spec
-from eaqmds.fields import (_TABLE_MAX_ORDER, Field, Matrix, Poly, _is_irreducible, extend,
-                           factorize, is_prime, make_field, prime_power_split)
-from eaqmds.packing import _PACK_TABLE_MAX, _packing, packed_product
+from eaqmds.fields import (_PACK_TABLE_MAX, _TABLE_MAX_ORDER, Field, Matrix, Poly,
+                           _is_irreducible, _packing, extend, factorize, is_prime,
+                           make_field, prime_power_split)
+from eaqmds.packing import packed_product
 
 import oracles
 
@@ -378,8 +379,8 @@ def test_packing_shrinks_the_chunk_to_the_table_bound():
 # ---------------------------------------------------------------------------
 
 # F_{q^2} for q = 3 and 13 and the prime powers q = 9, 25 and 27, all with
-# lookup tables; q = 37 and 49 above the table cap; and q = 81 and 257,
-# whose codes are too many to tabulate their lanes
+# lookup tables; q = 37, 49, 81 and 257 above the table cap, q = 257 with
+# two-byte digits
 LAG_FIELDS = [make_field(p, d) for p, d in
               [(3, 2), (3, 4), (5, 4), (3, 6), (13, 2), (37, 2), (7, 4), (3, 8), (257, 2)]]
 
@@ -778,6 +779,12 @@ def test_rref_and_nullspace_match_schoolbook_gauss_jordan(field, shape, data):
     expected, expected_pivots = oracles.gauss_jordan_rref(ref, entries)
     assert pivots == tuple(expected_pivots)
     assert red.entries == tuple(tuple(r) for r in expected)
+
+    # without the back pass: echelon rows, 1 at their pivots, that reduce to red
+    echelon, echelon_pivots = m.rref(back_pass=False)
+    assert echelon_pivots == pivots and m.rank() == len(pivots)
+    assert all(row[:c] == (0,) * c and row[c] == 1 for row, c in zip(echelon.entries, pivots))
+    assert echelon.rref()[0].entries == red.entries
 
     ns = m.right_nullspace()
     assert ns.rows == cols - len(expected_pivots)
